@@ -4,7 +4,7 @@ PYTHON ?= python
 	bench-predict-smoke perf-report trace-smoke server-smoke \
 	bench-server-smoke fleet-smoke bench-fleet-smoke tune-smoke \
 	bench-tune-smoke pgo-smoke bench-pgo-smoke discover-smoke \
-	bench-discover-smoke check-tracked-artifacts clean
+	bench-discover-smoke perfbench-smoke check-tracked-artifacts clean
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -134,6 +134,16 @@ bench-fleet-smoke:
 	$(PYTHON) benchmarks/bench_server.py --quick --fleet 1,2 \
 		-o /tmp/pymao_bench_fleet.json
 	$(PYTHON) scripts/perf_report.py --check /tmp/pymao_bench_fleet.json
+
+# Benchmark smoke: a short traced optimize_cold run, twice.  Each run
+# exits non-zero unless its correctness checks pass (injected pattern
+# counts, api.verify disassemble-compare, server byte-identity); the
+# second must also repeat the first run's work counters exactly.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload optimize_cold --seed 1 \
+		--seconds 3 --trace 1
+	$(PYTHON) perfbench/run.py --workload optimize_cold --seed 1 \
+		--seconds 3 --trace 1
 
 perf-report:
 	$(PYTHON) scripts/perf_report.py

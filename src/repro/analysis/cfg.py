@@ -32,6 +32,9 @@ from repro.x86.operands import Memory, RegisterOperand
 class BasicBlock:
     """A maximal straight-line instruction sequence."""
 
+    __slots__ = ("index", "labels", "entries", "successors", "predecessors",
+                 "has_unresolved_exit")
+
     def __init__(self, index: int) -> None:
         self.index = index
         self.labels: List[str] = []
@@ -77,15 +80,22 @@ class CFG:
         #: Indirect branches resolved, with the tier that resolved them
         #: ("operand" or "reaching-defs").
         self.resolved_branches: List[Tuple[InstructionEntry, str]] = []
+        #: id(entry) -> its block; built on the first ``block_of``.
+        self._entry_block: Optional[Dict[int, BasicBlock]] = None
 
     @property
     def is_well_formed(self) -> bool:
         return not self.unresolved_branches
 
     def block_of(self, entry: InstructionEntry) -> Optional[BasicBlock]:
-        for block in self.blocks:
-            if entry in block.entries:
-                return block
+        """The block holding *entry*, or None once a pass has deleted it
+        from ``block.entries`` (or it was never part of the function)."""
+        if self._entry_block is None:
+            self._entry_block = {id(e): block for block in self.blocks
+                                 for e in block.entries}
+        block = self._entry_block.get(id(entry))
+        if block is not None and entry in block.entries:
+            return block
         return None
 
     def reverse_postorder(self) -> List[BasicBlock]:
@@ -273,9 +283,12 @@ def _resolve_via_reaching_defs(cfg: CFG, unit: MaoUnit,
     from repro.analysis.dataflow import ReachingDefinitions
 
     reaching = ReachingDefinitions(cfg)
+    # Chase every branch before adding any edge, so each query sees the
+    # CFG as it stood before tier 2 whatever order the branches come in.
+    chased = [(block, entry, _chase_indirect_target(reaching, unit, entry))
+              for block, entry in pending]
     remaining: List[Tuple[BasicBlock, InstructionEntry]] = []
-    for block, entry in pending:
-        targets = _chase_indirect_target(reaching, unit, entry)
+    for block, entry, targets in chased:
         if targets and all(t in label_map for t in targets):
             for t in targets:
                 block.add_successor(label_map[t])

@@ -13,8 +13,7 @@ redundant-test removal.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
 from repro.ir.entries import InstructionEntry
@@ -51,83 +50,57 @@ def location_defs(insn: Instruction) -> Set[str]:
 
 
 class ReachingDefinitions:
-    """Classic forward may-analysis over (location, defining entry) pairs."""
+    """Reaching definitions, answered on demand.
+
+    A query walks backward from the program point: first within its
+    block, then over predecessor blocks, stopping in each at its last
+    definition of the location.  That yields the same set as the classic
+    forward may-analysis over (location, defining entry) pairs, without
+    solving it for every location of the function; the only client is
+    tier-2 indirect-branch resolution, which asks a handful of queries.
+    """
 
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
-        # Definition sites, one id per (entry, location).
-        self._sites: List[Tuple[InstructionEntry, str]] = []
-        self._site_ids: Dict[Tuple[int, str], int] = {}
-        self._entry_block: Dict[int, BasicBlock] = {}
-        self._in: Dict[int, Set[int]] = {}
-        self._out: Dict[int, Set[int]] = {}
-        self._defs_by_loc: Dict[str, Set[int]] = defaultdict(set)
-        self._compute()
+        #: Block index -> {location: the block's last entry defining it}.
+        self._last_defs: Dict[int, Dict[str, InstructionEntry]] = {}
 
-    def _site(self, entry: InstructionEntry, loc: str) -> int:
-        key = (id(entry), loc)
-        if key not in self._site_ids:
-            self._site_ids[key] = len(self._sites)
-            self._sites.append((entry, loc))
-            self._defs_by_loc[loc].add(self._site_ids[key])
-        return self._site_ids[key]
-
-    def _compute(self) -> None:
-        cfg = self.cfg
-        gen: Dict[int, Set[int]] = {}
-        kill_locs: Dict[int, Set[str]] = {}
-
-        for block in cfg.blocks:
-            block_gen: Dict[str, int] = {}
-            locs_killed: Set[str] = set()
+    def _last_def(self, block: BasicBlock,
+                  loc: str) -> Optional[InstructionEntry]:
+        last = self._last_defs.get(block.index)
+        if last is None:
+            last = {}
             for entry in block.entries:
-                self._entry_block[id(entry)] = block
-                for loc in location_defs(entry.insn):
-                    block_gen[loc] = self._site(entry, loc)
-                    locs_killed.add(loc)
-            gen[block.index] = set(block_gen.values())
-            kill_locs[block.index] = locs_killed
-
-        in_sets: Dict[int, Set[int]] = {b.index: set() for b in cfg.blocks}
-        out_sets: Dict[int, Set[int]] = {b.index: set() for b in cfg.blocks}
-
-        changed = True
-        while changed:
-            changed = False
-            for block in cfg.blocks:
-                new_in: Set[int] = set()
-                for pred in block.predecessors:
-                    new_in |= out_sets.get(pred.index, set())
-                killed = set()
-                for loc in kill_locs[block.index]:
-                    killed |= self._defs_by_loc[loc]
-                new_out = gen[block.index] | (new_in - killed)
-                if new_in != in_sets[block.index] \
-                        or new_out != out_sets[block.index]:
-                    in_sets[block.index] = new_in
-                    out_sets[block.index] = new_out
-                    changed = True
-        self._in = in_sets
-        self._out = out_sets
+                for defined in location_defs(entry.insn):
+                    last[defined] = entry
+            self._last_defs[block.index] = last
+        return last.get(loc)
 
     def reaching_defs(self, at: InstructionEntry,
                       loc: str) -> List[InstructionEntry]:
         """Definitions of *loc* that reach the program point just before
         *at* (block-local definitions shadow incoming ones)."""
-        block = self._entry_block.get(id(at))
+        block = self.cfg.block_of(at)
         if block is None:
-            block = self.cfg.block_of(at)
-            if block is None:
-                return []
-        live: Set[int] = {s for s in self._in.get(block.index, set())
-                          if self._sites[s][1] == loc}
-        for entry in block.entries:
-            if entry is at:
-                break
-            defs = location_defs(entry.insn)
-            if loc in defs:
-                live = {self._site(entry, loc)}
-        return [self._sites[s][0] for s in live]
+            return []
+        entries = block.entries
+        for entry in reversed(entries[:entries.index(at)]):
+            if loc in location_defs(entry.insn):
+                return [entry]
+        found: List[InstructionEntry] = []
+        seen: Set[int] = set()
+        work = list(block.predecessors)
+        while work:
+            pred = work.pop()
+            if pred.index in seen:
+                continue
+            seen.add(pred.index)
+            entry = self._last_def(pred, loc)
+            if entry is not None:
+                found.append(entry)
+            else:
+                work.extend(pred.predecessors)
+        return found
 
     def unique_reaching_def(self, at: InstructionEntry,
                             loc: str) -> Optional[InstructionEntry]:
@@ -138,7 +111,13 @@ class ReachingDefinitions:
 
 
 class Liveness:
-    """Backward liveness over register groups and flag bits."""
+    """Backward liveness over register groups and flag bits.
+
+    Sets of locations are int bitmasks internally, one bit per location
+    in the order first seen: the pass manager keeps a function's
+    liveness alive across passes, and masks are small and cheap to
+    combine.
+    """
 
     def __init__(self, cfg: CFG,
                  exit_live: Optional[Set[str]] = None) -> None:
@@ -150,42 +129,69 @@ class Liveness:
                          "r12", "r13", "r14", "r15",
                          "xmm0", "xmm1"}
         self.exit_live = set(exit_live)
-        self._live_in: Dict[int, Set[str]] = {}
-        self._live_out: Dict[int, Set[str]] = {}
+        self._bits: Dict[str, int] = {}
+        #: insn -> (use mask, def mask), computed once per instruction.
+        #: Keyed by the Instruction, not the entry, so an entry whose
+        #: ``insn`` a pass replaced is looked up afresh.
+        self._effects: Dict[Instruction, Tuple[int, int]] = {}
+        #: One shared copy of each distinct (use, def) pair.
+        self._pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._live_in: Dict[int, int] = {}
+        self._live_out: Dict[int, int] = {}
         self._compute()
+
+    def _mask(self, locs: Iterable[str]) -> int:
+        mask = 0
+        for loc in locs:
+            bit = self._bits.get(loc)
+            if bit is None:
+                bit = self._bits[loc] = 1 << len(self._bits)
+            mask |= bit
+        return mask
+
+    def _locs(self, mask: int) -> Set[str]:
+        return {loc for loc, bit in self._bits.items() if mask & bit}
+
+    def _effects_of(self, insn: Instruction) -> Tuple[int, int]:
+        effects = self._effects.get(insn)
+        if effects is None:
+            effects = (self._mask(location_uses(insn)),
+                       self._mask(location_defs(insn)))
+            effects = self._effects[insn] = self._pairs.setdefault(
+                effects, effects)
+        return effects
 
     def _compute(self) -> None:
         cfg = self.cfg
-        use: Dict[int, Set[str]] = {}
-        defs: Dict[int, Set[str]] = {}
+        exit_mask = self._mask(self.exit_live)
+        use: Dict[int, int] = {}
+        defs: Dict[int, int] = {}
         for block in cfg.blocks:
-            block_use: Set[str] = set()
-            block_def: Set[str] = set()
+            block_use = block_def = 0
             for entry in block.entries:
-                for loc in location_uses(entry.insn):
-                    if loc not in block_def:
-                        block_use.add(loc)
-                block_def |= location_defs(entry.insn)
+                entry_uses, entry_defs = self._effects_of(entry.insn)
+                block_use |= entry_uses & ~block_def
+                block_def |= entry_defs
             use[block.index] = block_use
             defs[block.index] = block_def
 
-        live_in: Dict[int, Set[str]] = {b.index: set() for b in cfg.blocks}
-        live_out: Dict[int, Set[str]] = {b.index: set() for b in cfg.blocks}
+        live_in: Dict[int, int] = {b.index: 0 for b in cfg.blocks}
+        live_out: Dict[int, int] = {b.index: 0 for b in cfg.blocks}
 
         changed = True
         while changed:
             changed = False
             for block in reversed(cfg.blocks):
-                new_out: Set[str] = set()
+                new_out = 0
                 for succ in block.successors:
-                    if succ is self.cfg.exit:
-                        new_out |= self.exit_live
+                    if succ is cfg.exit:
+                        new_out |= exit_mask
                     else:
-                        new_out |= live_in.get(succ.index, set())
+                        new_out |= live_in.get(succ.index, 0)
                 if block.has_unresolved_exit:
                     # Unknown targets: everything may be live.
-                    new_out |= self.exit_live
-                new_in = use[block.index] | (new_out - defs[block.index])
+                    new_out |= exit_mask
+                new_in = use[block.index] | (new_out & ~defs[block.index])
                 if new_out != live_out[block.index] \
                         or new_in != live_in[block.index]:
                     live_out[block.index] = new_out
@@ -195,25 +201,21 @@ class Liveness:
         self._live_out = live_out
 
     def live_in(self, block: BasicBlock) -> Set[str]:
-        return set(self._live_in.get(block.index, set()))
+        return self._locs(self._live_in.get(block.index, 0))
 
     def live_out(self, block: BasicBlock) -> Set[str]:
-        return set(self._live_out.get(block.index, set()))
+        return self._locs(self._live_out.get(block.index, 0))
 
     def live_after(self, block: BasicBlock,
                    entry: InstructionEntry) -> Set[str]:
         """Locations live immediately after *entry* inside *block*."""
-        live = self.live_out(block)
-        found = False
+        live = self._live_out.get(block.index, 0)
         for node in reversed(block.entries):
             if node is entry:
-                found = True
-                break
-            live -= location_defs(node.insn)
-            live |= location_uses(node.insn)
-        if not found:
-            raise ValueError("entry not in block")
-        return live
+                return self._locs(live)
+            uses, defined = self._effects_of(node.insn)
+            live = (live & ~defined) | uses
+        raise ValueError("entry not in block")
 
     def is_dead_after(self, block: BasicBlock, entry: InstructionEntry,
                       loc: str) -> bool:

@@ -90,6 +90,9 @@ class MaoUnit:
         #: disjoint, but entries at function boundaries share prev/next
         #: links with the neighbouring function.
         self._mutate_lock = threading.RLock()
+        #: Structural edits (inserts and removals) so far; the pass
+        #: manager compares it around a pass to see that it changed code.
+        self.edit_count = 0
 
     # ---- list management ---------------------------------------------------
 
@@ -113,6 +116,7 @@ class MaoUnit:
                 self.head = entry
             self.tail = entry
             self._size += 1
+            self.edit_count += 1
         return entry
 
     def insert_after(self, anchor: MaoEntry, entry: MaoEntry) -> MaoEntry:
@@ -127,6 +131,7 @@ class MaoUnit:
             if entry.section is None:
                 entry.section = anchor.section
             self._size += 1
+            self.edit_count += 1
         return entry
 
     def insert_before(self, anchor: MaoEntry, entry: MaoEntry) -> MaoEntry:
@@ -141,6 +146,7 @@ class MaoUnit:
             if entry.section is None:
                 entry.section = anchor.section
             self._size += 1
+            self.edit_count += 1
         return entry
 
     def remove(self, entry: MaoEntry) -> None:
@@ -155,6 +161,7 @@ class MaoUnit:
                 self.tail = entry.prev
             entry.prev = entry.next = None
             self._size -= 1
+            self.edit_count += 1
 
     def replace(self, old: MaoEntry, new: MaoEntry) -> MaoEntry:
         self.insert_after(old, new)

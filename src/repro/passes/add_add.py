@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import FLAG_PREFIX, Liveness
+from repro.analysis.dataflow import FLAG_PREFIX
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
@@ -50,8 +49,8 @@ class AddAddFoldPass(MaoFunctionPass):
 
     def Go(self) -> bool:
         window = int(self.option("window"))
-        cfg = build_cfg(self.function, self.unit)
-        liveness = Liveness(cfg)
+        cfg = self.analyses.cfg()
+        liveness = self.analyses.liveness()
         for block in cfg.blocks:
             # pending: (entry, delta, group, width, reg_operand)
             pending: List[Tuple[InstructionEntry, int, str, int,
@@ -122,6 +121,7 @@ class AddAddFoldPass(MaoFunctionPass):
                               [Immediate(-combined), reg_op])
         new.address = insn.address
         second_entry.insn = new
+        self.analyses.invalidate()
         block.entries.remove(first_entry)
         self.unit.remove(first_entry)
 

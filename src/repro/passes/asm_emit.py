@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.loops import build_lsg
 from repro.passes.base import MaoFunctionPass, MaoUnitPass
 from repro.passes.manager import register_func_pass, register_unit_pass
@@ -49,7 +48,7 @@ class LoopFindingPass(MaoFunctionPass):
 
     def Go(self) -> bool:
         self.Trace(3, "Func: %s", self.function.name)
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.analyses.cfg()
         lsg = build_lsg(cfg)
         self.bump("blocks", len(cfg.blocks))
         self.bump("loops", len(lsg))

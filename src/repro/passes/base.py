@@ -13,6 +13,8 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, Optional
 
+from repro.analysis.cfg import CFG, build_cfg
+from repro.analysis.dataflow import Liveness
 from repro.ir.unit import Function, MaoUnit
 
 
@@ -26,6 +28,11 @@ class MaoPass:
     #: True for passes whose value is an effect outside the IR (e.g. ASM
     #: writing a file).  Result caches must not replay around such passes.
     SIDE_EFFECTS: bool = False
+    #: True for passes that read the section layout (addresses from
+    #: relaxation).  The manager runs them serially in-process at any
+    #: ``jobs``: a function laid out alone, or beside neighbours that
+    #: another worker is changing, has different addresses.
+    READS_LAYOUT: bool = False
 
     def __init__(self, options: Optional[Dict[str, Any]] = None) -> None:
         merged: Dict[str, Any] = {"trace": 0, "dump": False}
@@ -66,14 +73,52 @@ class MaoPass:
         raise NotImplementedError
 
 
+class FunctionAnalyses:
+    """One function's analyses, computed on first use and shared.
+
+    The pass manager keeps one handle per function for a pipeline run, so
+    a pass reuses the CFG and liveness of the passes before it until one
+    of them changes the function.  Any change invalidates, not only a
+    CFG edit: deleting an instruction can change which jump table a
+    tier-2 indirect branch resolves to.
+    """
+
+    def __init__(self, unit: MaoUnit, function: Function) -> None:
+        self.unit = unit
+        self.function = function
+        self._cfg: Optional[CFG] = None
+        self._liveness: Optional[Liveness] = None
+
+    def cfg(self) -> CFG:
+        if self._cfg is None:
+            self._cfg = build_cfg(self.function, self.unit)
+        return self._cfg
+
+    def liveness(self) -> Liveness:
+        if self._liveness is None:
+            self._liveness = Liveness(self.cfg())
+        return self._liveness
+
+    def invalidate(self) -> None:
+        self._cfg = self._liveness = None
+
+
 class MaoFunctionPass(MaoPass):
-    """A pass invoked once per identified function."""
+    """A pass invoked once per identified function.
+
+    A pass that edits code in place (rewrites operands, swaps
+    ``entry.insn``) calls ``self.analyses.invalidate()``; inserting or
+    removing entries through the unit invalidates by itself.
+    """
 
     def __init__(self, options: Optional[Dict[str, Any]],
                  unit: MaoUnit, function: Function) -> None:
         super().__init__(options)
         self.unit = unit
         self.function = function
+        #: Lazily built CFG and liveness; the manager swaps in the handle
+        #: it shares across the passes of a pipeline run.
+        self.analyses = FunctionAnalyses(unit, function)
 
     def dump_ir(self, when: str) -> None:
         if self.options.get("dump"):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.loops import build_lsg
 from repro.analysis.relax import relax_section
 from repro.ir.entries import DirectiveEntry, LabelEntry
@@ -62,11 +61,12 @@ class ShortLoopAlignPass(MaoFunctionPass):
         "max_skip": 15,      # .p2align max-skip budget
         "count_only": False,
     }
+    READS_LAYOUT = True
 
     def Go(self) -> bool:
         line_bytes = int(self.option("line"))
         max_size = int(self.option("max_size"))
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.analyses.cfg()
         lsg = build_lsg(cfg)
         if not lsg.non_root_loops():
             return True

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.loops import build_lsg
 from repro.analysis.relax import relax_section
 from repro.ir.entries import InstructionEntry, LabelEntry
@@ -36,11 +35,12 @@ class LsdFitPass(MaoFunctionPass):
         "max_lines": 4,       # the LSD line budget
         "count_only": False,
     }
+    READS_LAYOUT = True
 
     def Go(self) -> bool:
         line_bytes = int(self.option("line"))
         max_lines = int(self.option("max_lines"))
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.analyses.cfg()
         lsg = build_lsg(cfg)
         if not lsg.non_root_loops():
             return True

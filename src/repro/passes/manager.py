@@ -25,7 +25,20 @@ shared IR — structural mutations are made atomic by the unit's mutation
 lock.  ``process`` round-trips each eligible function through textual
 assembly to a worker process (parse → pass → emit) and splices the result
 back; functions whose span crosses sections, or that contain opaque
-entries, transparently run in-process instead.
+entries, transparently run in-process instead.  Passes that declare
+``READS_LAYOUT`` run serially at any ``jobs``: their decisions depend on
+the addresses of the whole section as laid out in function order.
+
+Analyses
+--------
+
+A run keeps one :class:`~repro.passes.base.FunctionAnalyses` handle per
+function, handed to every function pass as ``self.analyses``, so a pass
+reuses the CFG and liveness of the passes before it.  A handle is
+invalidated when a pass changes its function: by the pass itself for
+an in-place edit, by the manager when the pass inserted or removed
+entries.  The process backend's splice and every unit pass invalidate
+too, and all handles are dropped when the run ends.
 """
 
 from __future__ import annotations
@@ -40,7 +53,8 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 from repro import obs
 from repro.ir.entries import MaoEntry, OpaqueEntry
 from repro.ir.unit import Function, MaoUnit
-from repro.passes.base import MaoFunctionPass, MaoPass, MaoUnitPass
+from repro.passes.base import (FunctionAnalyses, MaoFunctionPass, MaoPass,
+                               MaoUnitPass)
 from repro.result import register_schema
 
 #: Version tag of the serialized PipelineResult/PassReport format.
@@ -284,22 +298,30 @@ class PassPipeline:
             raise ValueError("unknown pipeline backend %r"
                              % parallel_backend)
         result = PipelineResult()
+        analyses: Dict[Function, FunctionAnalyses] = {}
         for name, options in self.passes:
             cls = get_pass(name)
             if issubclass(cls, MaoFunctionPass):
-                parallel = jobs > 1 and len(unit.functions) > 1
+                for fn in unit.functions:
+                    if fn not in analyses:
+                        analyses[fn] = FunctionAnalyses(unit, fn)
+                handles = [analyses[fn] for fn in unit.functions]
+                parallel = (jobs > 1 and len(unit.functions) > 1
+                            and not cls.READS_LAYOUT)
                 with obs.span("pass:%s" % name, kind="function",
                               parallel=parallel) as pass_span:
                     if parallel:
                         keep_going = self._run_function_pass_parallel(
-                            cls, name, options, unit, result, jobs,
+                            cls, name, options, unit, handles, result, jobs,
                             parallel_backend, pass_span)
                     else:
                         keep_going = self._run_function_pass_serial(
-                            cls, name, options, unit, result, pass_span)
+                            cls, name, options, unit, handles, result,
+                            pass_span)
                 if not keep_going:
                     return result
             else:
+                analyses.clear()
                 with obs.span("pass:%s" % name, kind="unit") as pass_span:
                     pass_obj = cls(options, unit)
                     keep_going = pass_obj.Go()
@@ -313,11 +335,12 @@ class PassPipeline:
     @staticmethod
     def _run_function_pass_serial(cls: Type[MaoFunctionPass], name: str,
                                   options: Dict[str, Any], unit: MaoUnit,
+                                  handles: List[FunctionAnalyses],
                                   result: PipelineResult,
                                   pass_span: Any) -> bool:
-        for function in unit.functions:
+        for function, handle in zip(unit.functions, handles):
             stats, keep_going, span = _apply_function_pass(
-                cls, options, unit, function)
+                cls, options, unit, function, handle)
             obs.adopt_span(pass_span, span)
             _record(result, PassReport(name, function.name, stats))
             if not keep_going:
@@ -327,6 +350,7 @@ class PassPipeline:
     @staticmethod
     def _run_function_pass_parallel(cls: Type[MaoFunctionPass], name: str,
                                     options: Dict[str, Any], unit: MaoUnit,
+                                    handles: List[FunctionAnalyses],
                                     result: PipelineResult, jobs: int,
                                     parallel_backend: str,
                                     pass_span: Any) -> bool:
@@ -334,11 +358,12 @@ class PassPipeline:
         if parallel_backend == "thread":
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 outcomes = list(pool.map(
-                    lambda fn: _apply_function_pass(cls, options, unit, fn),
-                    functions))
+                    lambda fn, handle: _apply_function_pass(
+                        cls, options, unit, fn, handle),
+                    functions, handles))
         else:
             outcomes = _run_process_backend(
-                cls, name, options, unit, functions, jobs)
+                cls, name, options, unit, functions, handles, jobs)
         # Deterministic merge: function order, not completion order —
         # reports and worker span subtrees alike.
         for function, (stats, keep_going, span) in zip(functions, outcomes):
@@ -378,19 +403,28 @@ def _record(result: PipelineResult, report: PassReport) -> None:
 
 def _apply_function_pass(cls: Type[MaoFunctionPass],
                          options: Dict[str, Any], unit: MaoUnit,
-                         function: Function
+                         function: Function,
+                         handle: Optional[FunctionAnalyses] = None
                          ) -> Tuple[Dict[str, int], bool, Any]:
     """Instantiate and run one function pass in-process.
 
-    The span is *detached* — workers cannot reach the coordinator's span
-    stack — and handed back for an in-order adopt; ``None`` when tracing
-    is off.
+    *handle* is the run's shared analyses of *function*; it is
+    invalidated when the pass changes the function.  The span is
+    *detached* — workers cannot reach the coordinator's span stack — and
+    handed back for an in-order adopt; ``None`` when tracing is off.
     """
     with obs.detached_span("fn:%s" % function.name) as span:
         pass_obj = cls(options, unit, function)
+        if handle is not None:
+            pass_obj.analyses = handle
+        edits = unit.edit_count
         pass_obj.dump_ir("before")
         keep_going = pass_obj.Go()
         pass_obj.dump_ir("after")
+        # Under the thread backend, other functions' edits move the count
+        # too; that only costs a rebuild.
+        if unit.edit_count != edits:
+            pass_obj.analyses.invalidate()
         if span:
             span.attach(stats=dict(pass_obj.stats))
     return pass_obj.stats, keep_going, (span if span else None)
@@ -483,7 +517,8 @@ def _splice_function(unit: MaoUnit, function: Function,
 
 def _run_process_backend(cls: Type[MaoFunctionPass], name: str,
                          options: Dict[str, Any], unit: MaoUnit,
-                         functions: List[Function], jobs: int
+                         functions: List[Function],
+                         handles: List[FunctionAnalyses], jobs: int
                          ) -> List[Tuple[Dict[str, int], bool, Any]]:
     want_spans = obs.enabled()
     payload_indices: List[int] = []
@@ -509,12 +544,13 @@ def _run_process_backend(cls: Type[MaoFunctionPass], name: str,
         if index in worker_results:
             new_text, stats, keep_going, span_data = worker_results[index]
             _splice_function(unit, function, new_text)
+            handles[index].invalidate()
             span = obs.Span.from_dict(span_data) if span_data else None
             outcomes.append((stats, keep_going, span))
         else:
             # Ineligible for text round-trip: run in-process instead.
-            outcomes.append(
-                _apply_function_pass(cls, options, unit, function))
+            outcomes.append(_apply_function_pass(
+                cls, options, unit, function, handles[index]))
     return outcomes
 
 

@@ -21,6 +21,9 @@ class NopKillerPass(MaoFunctionPass):
 
     OPTIONS = {"count_only": False, "kill_nops": True,
                "kill_directives": True}
+    #: Only its trace output reads the layout, but that must not depend
+    #: on ``jobs`` either.
+    READS_LAYOUT = True
 
     def Go(self) -> bool:
         size_before = None

@@ -30,6 +30,7 @@ class PrefetchAliasAlignPass(MaoFunctionPass):
         "stride": 256,       # the alias granularity
         "count_only": False,
     }
+    READS_LAYOUT = True
 
     def Go(self) -> bool:
         stride = int(self.option("stride"))

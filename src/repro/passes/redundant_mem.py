@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.analysis.cfg import build_cfg
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
@@ -45,7 +44,7 @@ class RedundantMemAccessPass(MaoFunctionPass):
 
     def Go(self) -> bool:
         window: int = int(self.option("window"))
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.analyses.cfg()
         for block in cfg.blocks:
             # (entry, mem, dest_group) of loads still valid for reuse.
             available: List[Tuple[InstructionEntry, Memory, str]] = []
@@ -64,6 +63,7 @@ class RedundantMemAccessPass(MaoFunctionPass):
                             insn.operands = [RegisterOperand(first_dst.reg),
                                              dst]
                             insn.encoding = None
+                            self.analyses.invalidate()
                         self._invalidate(available, insn)
                         if not self.option("count_only"):
                             # The rewritten mov is itself a reusable copy

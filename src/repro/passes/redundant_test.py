@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import FLAG_PREFIX, Liveness
+from repro.analysis.dataflow import FLAG_PREFIX
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
 from repro.x86 import sideeffects
@@ -66,8 +65,8 @@ class RedundantTestPass(MaoFunctionPass):
     OPTIONS = {"count_only": False}
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
-        liveness = Liveness(cfg)
+        cfg = self.analyses.cfg()
+        liveness = self.analyses.liveness()
 
         for block in cfg.blocks:
             producer: Optional[Instruction] = None   # last flags writer

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.analysis.cfg import build_cfg
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
 from repro.x86 import sideeffects
@@ -51,7 +50,7 @@ class RedundantZeroExtensionPass(MaoFunctionPass):
     OPTIONS = {"count_only": False}
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.analyses.cfg()
         for block in cfg.blocks:
             last_def_width: Dict[str, int] = {}
             for entry in list(block.entries):

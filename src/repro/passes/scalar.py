@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import FLAG_PREFIX, Liveness
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
@@ -46,7 +45,7 @@ class UnreachableCodeEliminationPass(MaoFunctionPass):
     OPTIONS = {"count_only": False}
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.analyses.cfg()
         if cfg.entry is None:
             return True
         if not cfg.is_well_formed:
@@ -96,8 +95,8 @@ class ConstantFoldPass(MaoFunctionPass):
     _FOLDABLE = {"add", "sub", "and", "or", "xor", "shl", "shr", "sar"}
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
-        liveness = Liveness(cfg)
+        cfg = self.analyses.cfg()
+        liveness = self.analyses.liveness()
         for block in cfg.blocks:
             known: Dict[str, int] = {}
             for entry in block.entries:
@@ -154,6 +153,7 @@ class ConstantFoldPass(MaoFunctionPass):
         new.address = insn.address
         if not self.option("count_only"):
             entry.insn = new
+            self.analyses.invalidate()
             return new
         return None
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.analysis.cfg import build_cfg
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
@@ -176,7 +175,8 @@ class ListSchedulingPass(MaoFunctionPass):
             merged = self._merge_sequential_blocks()
             if merged:
                 self.bump("labels_merged", merged)
-        cfg = build_cfg(self.function, self.unit)
+                self.analyses.invalidate()
+        cfg = self.analyses.cfg()
         for block in cfg.blocks:
             entries = block.entries
             if len(entries) < 3:
@@ -212,7 +212,7 @@ class ListSchedulingPass(MaoFunctionPass):
         operand or data directive names the label."""
         from repro.passes.scalar import _referenced_labels
 
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.analyses.cfg()
         referenced = _referenced_labels(self.unit)
         removed = 0
         for block in cfg.blocks:

@@ -87,6 +87,38 @@ f:
         assert len(order) == len(cfg.blocks)
 
 
+class TestBlockOf:
+    SOURCE = """
+.text
+f:
+    movl $1, %eax
+    je .Lb
+    movl %eax, %eax
+.Lb:
+    ret
+"""
+
+    def test_finds_each_entry_block(self):
+        cfg = cfg_of(self.SOURCE)
+        for block in cfg.blocks:
+            for entry in block.entries:
+                assert cfg.block_of(entry) is block
+
+    def test_entry_deleted_from_its_block_has_none(self):
+        # Passes delete from block.entries while they keep using the CFG.
+        cfg = cfg_of(self.SOURCE)
+        block = cfg.blocks[1]
+        doomed = block.entries[0]
+        block.entries.remove(doomed)
+        assert cfg.block_of(doomed) is None
+        assert cfg.block_of(cfg.blocks[2].entries[0]) is cfg.blocks[2]
+
+    def test_foreign_entry_has_none(self):
+        cfg = cfg_of(self.SOURCE)
+        other = cfg_of(self.SOURCE)
+        assert cfg.block_of(other.entry.entries[0]) is None
+
+
 class TestIndirectResolution:
     OPERAND_PATTERN = """
 .text

@@ -16,6 +16,7 @@ from repro.passes.manager import (
     run_passes,
     spec_has_side_effects,
 )
+from repro.workloads.corpus import CorpusConfig, generate_corpus_text
 
 
 class TestSpecParsing:
@@ -278,3 +279,36 @@ f{i}:
             run_passes(unit, self.SPEC, jobs=0)
         with pytest.raises(ValueError):
             run_passes(unit, self.SPEC, parallel_backend="fiber")
+
+
+class TestLayoutPassesStaySerial:
+    """Passes that read the section layout run serially in-process at
+    any ``jobs``: a process worker lays out its function alone, and
+    thread workers would lay out a section other workers are editing."""
+
+    #: The optimize spec of the benchmark's ``optimize_cold`` workload.
+    CORPUS_SPEC = "REDZEE:REDTEST:REDMOV:ADDADD:LOOP16"
+
+    def test_layout_readers_declared(self):
+        readers = {name for name in registered_passes()
+                   if get_pass(name).READS_LAYOUT}
+        assert readers == {"LOOP16", "LSDFIT", "BRALIGN", "NOPKILL",
+                           "PREFALIGN", "INSTRUMENT"}
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_corpus_unit_matches_serial(self, backend):
+        # Before LOOP16 was kept serial, this unit's process-backend
+        # output aligned a different set of loops than the serial run.
+        text = generate_corpus_text(
+            CorpusConfig(seed=2, scale=0.001, functions=4))
+
+        def optimize(jobs):
+            unit = parse_unit(text)
+            result = run_passes(unit, self.CORPUS_SPEC, jobs=jobs,
+                                parallel_backend=backend)
+            return unit.to_asm(), [(r.pass_name, r.scope, r.stats)
+                                   for r in result.reports]
+
+        serial = optimize(1)
+        assert serial[0] != text
+        assert optimize(2) == serial
