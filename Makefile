@@ -135,14 +135,21 @@ bench-fleet-smoke:
 		-o /tmp/pymao_bench_fleet.json
 	$(PYTHON) scripts/perf_report.py --check /tmp/pymao_bench_fleet.json
 
-# Benchmark smoke: a short traced optimize_cold run, twice.  Each run
-# exits non-zero unless its correctness checks pass (injected pattern
-# counts, api.verify disassemble-compare, server byte-identity); the
-# second must also repeat the first run's work counters exactly.
+# Benchmark smoke: short traced optimize_cold and tune_cache runs, each
+# twice.  Each run exits non-zero unless its correctness checks pass
+# (injected pattern counts, api.verify disassemble-compare, server
+# byte-identity, a warm re-tune that runs no passes and keeps the cold
+# winner); the second of a pair must also repeat the first run's work
+# counters exactly.  tune_cache covers the predictor (static_model),
+# which reads the shared side-effect facts.
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload optimize_cold --seed 1 \
 		--seconds 3 --trace 1
 	$(PYTHON) perfbench/run.py --workload optimize_cold --seed 1 \
+		--seconds 3 --trace 1
+	$(PYTHON) perfbench/run.py --workload tune_cache --seed 1 \
+		--seconds 3 --trace 1
+	$(PYTHON) perfbench/run.py --workload tune_cache --seed 1 \
 		--seconds 3 --trace 1
 
 perf-report:

@@ -13,7 +13,8 @@ redundant-test removal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import sys
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
 from repro.ir.entries import InstructionEntry
@@ -24,29 +25,44 @@ FLAG_PREFIX = "F:"
 
 
 def flag_loc(flag: str) -> str:
-    return FLAG_PREFIX + flag
+    return sys.intern(FLAG_PREFIX + flag)
 
 
-def location_uses(insn: Instruction) -> Set[str]:
+#: Shared side-effect record -> its (uses, defs) locations.  Records are
+#: shared per distinct answer, so this holds far fewer entries than
+#: there are instruction shapes.
+_LOCATIONS: Dict[sideeffects.Facts,
+                 Tuple[FrozenSet[str], FrozenSet[str]]] = {}
+
+
+def _locations(insn: Instruction) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    try:
+        facts = sideeffects.facts(insn)
+    except sideeffects.UnknownSideEffects:
+        # Conservative: reads and writes everything it mentions.
+        locs = frozenset(r.group for r in insn.register_operands())
+        return locs, locs
+    locs = _LOCATIONS.get(facts)
+    if locs is None:
+        reads = {flag_loc(f) for f in facts.flags_read}
+        # Undefined flags count as writes.
+        writes = {flag_loc(f)
+                  for f in facts.flags_written | facts.flags_undefined}
+        locs = (sideeffects.shared(facts.uses | reads),
+                sideeffects.shared(facts.defs | writes))
+        if len(_LOCATIONS) < sideeffects.FACTS_MEMO_MAX:
+            _LOCATIONS[facts] = locs
+    return locs
+
+
+def location_uses(insn: Instruction) -> FrozenSet[str]:
     """Locations (register groups + flag bits) the instruction reads."""
-    try:
-        locs = set(sideeffects.reg_uses(insn))
-        locs |= {flag_loc(f) for f in sideeffects.flags_read(insn)}
-    except sideeffects.UnknownSideEffects:
-        # Conservative: reads everything it mentions.
-        locs = {r.group for r in insn.register_operands()}
-    return locs
+    return _locations(insn)[0]
 
 
-def location_defs(insn: Instruction) -> Set[str]:
+def location_defs(insn: Instruction) -> FrozenSet[str]:
     """Locations the instruction writes (undefined flags count as writes)."""
-    try:
-        locs = set(sideeffects.reg_defs(insn))
-        locs |= {flag_loc(f) for f in (sideeffects.flags_written(insn)
-                                       | sideeffects.flags_undefined(insn))}
-    except sideeffects.UnknownSideEffects:
-        locs = {r.group for r in insn.register_operands()}
-    return locs
+    return _locations(insn)[1]
 
 
 class ReachingDefinitions:
@@ -134,8 +150,10 @@ class Liveness:
         #: Keyed by the Instruction, not the entry, so an entry whose
         #: ``insn`` a pass replaced is looked up afresh.
         self._effects: Dict[Instruction, Tuple[int, int]] = {}
-        #: One shared copy of each distinct (use, def) pair.
-        self._pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        #: (uses, defs) locations -> their masks: one shared pair per
+        #: distinct answer, and no re-masking of a repeated shape.
+        self._pairs: Dict[Tuple[FrozenSet[str], FrozenSet[str]],
+                          Tuple[int, int]] = {}
         self._live_in: Dict[int, int] = {}
         self._live_out: Dict[int, int] = {}
         self._compute()
@@ -155,10 +173,12 @@ class Liveness:
     def _effects_of(self, insn: Instruction) -> Tuple[int, int]:
         effects = self._effects.get(insn)
         if effects is None:
-            effects = (self._mask(location_uses(insn)),
-                       self._mask(location_defs(insn)))
-            effects = self._effects[insn] = self._pairs.setdefault(
-                effects, effects)
+            locs = _locations(insn)
+            effects = self._pairs.get(locs)
+            if effects is None:
+                effects = self._pairs[locs] = (self._mask(locs[0]),
+                                               self._mask(locs[1]))
+            self._effects[insn] = effects
         return effects
 
     def _compute(self) -> None:

@@ -130,17 +130,14 @@ class AddAddFoldPass(MaoFunctionPass):
         if not pending:
             return pending
         try:
-            uses = sideeffects.reg_uses(insn)
-            defs = sideeffects.reg_defs(insn)
-            reads_flags = bool(sideeffects.flags_read(insn))
-            barrier = sideeffects.is_barrier(insn)
+            facts = sideeffects.facts(insn)
         except sideeffects.UnknownSideEffects:
             return []
-        if barrier or reads_flags:
+        if facts.barrier or facts.flags_read:
             # A condition-code read kills every pending fold (the first
             # add's flags would be observed).
             return []
         return [p for p in pending
-                if p[2] not in uses and p[2] not in defs]
+                if p[2] not in facts.uses and p[2] not in facts.defs]
     # Note: the *final* add rewrites flags anyway, so flag reads after the
     # second add observe the same values post-fold.

@@ -94,26 +94,24 @@ class RedundantTestPass(MaoFunctionPass):
                                 self.unit.remove(entry)
                             continue
                 try:
-                    wrote_flags = bool(sideeffects.flags_written(insn)
-                                       | sideeffects.flags_undefined(insn))
-                    defs = sideeffects.reg_defs(insn)
-                    barrier = sideeffects.is_barrier(insn)
+                    facts = sideeffects.facts(insn)
                 except sideeffects.UnknownSideEffects:
                     producer = None
                     producer_valid = False
                     continue
-                if barrier:
+                if facts.barrier:
                     producer = None
                     producer_valid = False
                     continue
-                if wrote_flags:
+                if facts.flags_written or facts.flags_undefined:
                     producer = insn
                     producer_valid = True
                 elif producer is not None and producer_valid:
                     # Redefining the tested register between the producer
                     # and the test invalidates the pattern.
                     producer_group = self._producer_group(producer)
-                    if producer_group is not None and producer_group in defs:
+                    if producer_group is not None \
+                            and producer_group in facts.defs:
                         producer_valid = False
         return True
 

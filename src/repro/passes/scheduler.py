@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.analysis.dataflow import location_defs, location_uses
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
@@ -44,15 +45,10 @@ class DependenceDAG:
 
     def _locs(self, insn: Instruction):
         try:
-            uses = set(sideeffects.reg_uses(insn))
-            defs = set(sideeffects.reg_defs(insn))
-            uses |= {"F:" + f for f in sideeffects.flags_read(insn)}
-            defs |= {"F:" + f for f in (sideeffects.flags_written(insn)
-                                        | sideeffects.flags_undefined(insn))}
-            barrier = sideeffects.is_barrier(insn)
+            barrier = sideeffects.facts(insn).barrier
         except sideeffects.UnknownSideEffects:
             return None
-        return uses, defs, barrier
+        return location_uses(insn), location_defs(insn), barrier
 
     def _add_edge(self, earlier: int, later: int) -> None:
         if earlier != later:

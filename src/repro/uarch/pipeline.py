@@ -318,18 +318,13 @@ class PipelineSimulator:
             return facts
         uop_list = uops_of(insn)
         try:
-            uses = frozenset(sideeffects.reg_uses(insn))
-            reads_flags = bool(sideeffects.flags_read(insn))
+            facts = sideeffects.facts(insn)
+            uses, defs = facts.uses, facts.defs
+            reads_flags = bool(facts.flags_read)
+            wflags = bool(facts.flags_written or facts.flags_undefined)
         except sideeffects.UnknownSideEffects:
-            uses = frozenset(r.group for r in insn.register_operands())
-            reads_flags = True
-        try:
-            defs = frozenset(sideeffects.reg_defs(insn))
-            wflags = bool(sideeffects.flags_written(insn)
-                          | sideeffects.flags_undefined(insn))
-        except sideeffects.UnknownSideEffects:
-            defs = frozenset(r.group for r in insn.register_operands())
-            wflags = True
+            uses = defs = frozenset(r.group for r in insn.register_operands())
+            reads_flags = wflags = True
         base = insn.base
         if base.startswith("prefetch"):
             prefetch = 1 if base == "prefetchnta" else 2

@@ -445,11 +445,10 @@ def latency_critical_path(body: List[Instruction], model: ProcessorModel,
         top = 0.0
         for index, insn in enumerate(body):
             try:
-                uses = sideeffects.reg_uses(insn)
-                reads_flags = bool(sideeffects.flags_read(insn))
-                defs = sideeffects.reg_defs(insn)
-                wflags = bool(sideeffects.flags_written(insn)
-                              | sideeffects.flags_undefined(insn))
+                facts = sideeffects.facts(insn)
+                uses, defs = facts.uses, facts.defs
+                reads_flags = bool(facts.flags_read)
+                wflags = bool(facts.flags_written or facts.flags_undefined)
             except sideeffects.UnknownSideEffects:
                 regs = {r.group for r in insn.register_operands()}
                 uses, defs = regs, regs

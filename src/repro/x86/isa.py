@@ -14,6 +14,7 @@ simulated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
@@ -85,10 +86,13 @@ class UnknownMnemonic(KeyError):
     """Raised when a mnemonic is not in the supported subset."""
 
 
+@functools.lru_cache(maxsize=None)
 def split_mnemonic(mnemonic: str) -> MnemonicInfo:
     """Decompose an AT&T mnemonic into a :class:`MnemonicInfo`.
 
     Raises :class:`UnknownMnemonic` for mnemonics outside the subset.
+    Results are memoized (the supported mnemonics are a finite set);
+    an unknown mnemonic raises, so it is never stored.
     """
     m = ALIASES.get(mnemonic, mnemonic)
 

@@ -21,36 +21,28 @@ class SourceLine:
     lineno: int
 
 
-def _strip_comment(line: str) -> str:
-    """Remove a ``#`` comment, respecting double-quoted strings."""
-    out = []
+def _split_quoted(line: str) -> List[str]:
+    """Split *line* on ``;`` and cut it at ``#``, both outside string
+    literals.  A quote after an odd run of backslashes is escaped."""
+    parts: List[str] = []
+    start = 0
     in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _split_statements(line: str) -> List[str]:
-    """Split on ``;`` outside of string literals."""
-    parts = []
-    current = []
-    in_string = False
+    backslashes = 0
     for i, ch in enumerate(line):
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
+        if ch == "\\":
+            backslashes += 1
+            continue
+        if ch == '"' and not backslashes % 2:
             in_string = not in_string
-        if ch == ";" and not in_string:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
+        elif not in_string:
+            if ch == "#":
+                line = line[:i]
+                break
+            if ch == ";":
+                parts.append(line[start:i])
+                start = i + 1
+        backslashes = 0
+    parts.append(line[start:])
     return parts
 
 
@@ -62,9 +54,17 @@ def logical_lines(source: str) -> Iterator[SourceLine]:
     # Preserve line structure (and numbering) when removing /* */ blocks.
     source = _BLOCK_COMMENT.sub(
         lambda match: "\n" * match.group().count("\n"), source)
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = _strip_comment(raw)
-        for stmt in _split_statements(line):
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        if '"' in line:
+            parts = _split_quoted(line)
+        else:
+            # No string literal: the first '#' starts the comment and
+            # every ';' separates statements.
+            comment = line.find("#")
+            if comment >= 0:
+                line = line[:comment]
+            parts = line.split(";")
+        for stmt in parts:
             stmt = stmt.strip()
             if stmt:
                 yield SourceLine(stmt, lineno)
@@ -91,25 +91,6 @@ TOKEN_RE = re.compile(r"""
 
 Token = Tuple[str, str]
 
-# Token interning: corpus-scale parsing sees the same registers, opcodes,
-# and punctuation on nearly every line, and allocating a fresh tuple per
-# occurrence duplicates them millions of times.  Tokens are immutable, so
-# one shared tuple per distinct (kind, text) is safe; the table is bounded
-# because IDENT/NUMBER texts (labels, displacements) are open-ended —
-# once full, rare tokens simply stop being shared.
-_INTERN_MAX = 65536
-_TOKEN_INTERN: dict = {}
-
-
-def _intern_token(kind: str, text: str) -> Token:
-    key = (kind, text)
-    token = _TOKEN_INTERN.get(key)
-    if token is None:
-        if len(_TOKEN_INTERN) >= _INTERN_MAX:
-            return key
-        _TOKEN_INTERN[key] = token = key
-    return token
-
 
 class LexError(Exception):
     pass
@@ -117,8 +98,7 @@ class LexError(Exception):
 
 def tokenize_operand(text: str) -> List[Token]:
     """Tokenize an operand string into (kind, text) pairs (whitespace
-    dropped).  Tokens are interned: two parses of the same text yield the
-    *same* tuple objects."""
+    dropped)."""
     tokens: List[Token] = []
     pos = 0
     while pos < len(text):
@@ -128,13 +108,23 @@ def tokenize_operand(text: str) -> List[Token]:
                            % (text, text[pos:]))
         kind = match.lastgroup
         if kind != "WS":
-            tokens.append(_intern_token(kind, match.group()))
+            tokens.append((kind, match.group()))
         pos = match.end()
     return tokens
 
 
 def split_operands(text: str) -> List[str]:
     """Split an operand list on top-level commas (not inside parentheses)."""
+    if "(" not in text and ")" not in text:
+        parts = [part.strip() for part in text.split(",")]
+        if not parts[-1]:
+            parts.pop()
+        return parts
+    return _split_nested(text)
+
+
+def _split_nested(text: str) -> List[str]:
+    """:func:`split_operands` for text with parentheses: track depth."""
     parts: List[str] = []
     depth = 0
     current: List[str] = []

@@ -10,7 +10,10 @@ Four operand kinds cover everything the supported subset needs:
 * :class:`LabelRef` — a code label used as a branch / call target.
 
 Operands are immutable value objects; passes build new instructions rather
-than mutating operands in place.
+than mutating operands in place.  They key the process-wide decode and
+side-effect tables, so :class:`RegisterOperand` and :class:`Memory` hash
+register *names* rather than whole :class:`Register` values (equal
+registers have equal names, so equal operands still hash equal).
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ class RegisterOperand:
     reg: Register
     #: True for indirect jump/call targets written ``*%rax``.
     indirect: bool = False
+
+    def __hash__(self) -> int:
+        return hash((self.reg.name, self.indirect))
 
     def __str__(self) -> str:
         star = "*" if self.indirect else ""
@@ -83,6 +89,12 @@ class Memory:
             raise ValueError("invalid scale %r" % (self.scale,))
         if self.index is not None and self.index.name == "rsp":
             raise ValueError("%rsp cannot be an index register")
+
+    def __hash__(self) -> int:
+        base, index = self.base, self.index
+        return hash((self.disp, base.name if base is not None else None,
+                     index.name if index is not None else None, self.scale,
+                     self.symbol, self.indirect))
 
     @property
     def is_rip_relative(self) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.x86 import lexer
 from repro.x86.instruction import Instruction
@@ -51,21 +51,6 @@ class ParsedDirective:
     name: str               # without the leading dot, e.g. "p2align"
     args: str               # raw argument string
     lineno: int = 0
-
-    def int_args(self) -> List[int]:
-        """Comma-separated integer arguments (missing entries skipped)."""
-        values = []
-        for part in split_operands(self.args):
-            part = part.strip()
-            if part:
-                try:
-                    values.append(lexer.parse_integer(part))
-                except ValueError:
-                    pass
-        return values
-
-    def str_args(self) -> List[str]:
-        return [p.strip() for p in split_operands(self.args) if p.strip()]
 
 
 @dataclass
@@ -232,14 +217,28 @@ class _OperandParser:
             raise ParseError(str(exc), self.lineno) from exc
 
 
+#: Decoded operands by (text, is_branch), shared process-wide: compiler
+#: output reuses a small vocabulary of operand spellings, and operands
+#: are frozen value objects, so every occurrence can be the same object.
+#: Errors are never stored.  The table is bounded because displacements
+#: and symbols are open-ended: once full, new texts are decoded afresh.
+OPERAND_MEMO_MAX = 65536
+_OPERANDS: Dict[Tuple[str, bool], Operand] = {}
+
+
 def parse_operand(text: str, is_branch: bool = False,
                   lineno: int = 0) -> Operand:
     """Parse a single AT&T operand string."""
-    tokens = tokenize_operand(text)
-    parser = _OperandParser(tokens, is_branch, lineno)
+    key = (text, is_branch)
+    operand = _OPERANDS.get(key)
+    if operand is not None:
+        return operand
+    parser = _OperandParser(tokenize_operand(text), is_branch, lineno)
     operand = parser.parse()
     if not parser.at_end():
         raise ParseError("trailing tokens in operand %r" % text, lineno)
+    if len(_OPERANDS) < OPERAND_MEMO_MAX:
+        _OPERANDS[key] = operand
     return operand
 
 
@@ -285,7 +284,7 @@ def parse_asm_text(source: str) -> List[Statement]:
             if colon <= 0:
                 break
             head = text[:colon].strip()
-            if not head or any(ch.isspace() for ch in head) or '"' in head:
+            if not head or len(head.split()) > 1 or '"' in head:
                 break
             # A register or operand can't precede ':' at statement start.
             statements.append(ParsedLabel(head, line.lineno))

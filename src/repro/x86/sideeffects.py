@@ -6,11 +6,17 @@ alias groups it reads and writes, and which RFLAGS bits it reads, writes,
 clears, or leaves undefined.  Registers are reported as *alias groups*
 (``eax`` -> ``rax``) so partial-register writes conservatively kill the
 whole register.
+
+Every answer for one instruction shape — its mnemonic and operand
+*values* — is derived once into a shared :class:`Facts` record, so the
+queries below are dictionary lookups.  The key is the operand values, not
+the :class:`Instruction`: an instruction whose operand list a pass
+rewrites in place is simply looked up under its new key.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
 from repro.x86._sideeffects_tables import TABLES
 from repro.x86.flags import cc_flags_read
@@ -32,15 +38,35 @@ class UnknownSideEffects(KeyError):
     """No side-effect table entry exists for the instruction."""
 
 
-def _lookup(insn: Instruction):
-    base = insn.base
-    arity = len(insn.operands)
-    entry = TABLES.get((base, arity))
-    if entry is None:
-        entry = TABLES.get((base, None))
-    if entry is None:
-        raise UnknownSideEffects(base)
-    return entry
+class Facts(NamedTuple):
+    """Every side-effect answer for one instruction shape."""
+
+    uses: FrozenSet[str]
+    defs: FrozenSet[str]
+    flags_read: FrozenSet[str]
+    flags_written: FrozenSet[str]
+    flags_cleared: FrozenSet[str]
+    flags_result: FrozenSet[str]
+    flags_undefined: FrozenSet[str]
+    barrier: bool
+
+
+#: (mnemonic, *operands) -> Facts, or None for a shape with no table
+#: entry.  Process-wide like the parser's operand table, and bounded the
+#: same way: once full, new shapes are derived afresh on every query.
+FACTS_MEMO_MAX = 65536
+_FACTS: Dict[tuple, Optional[Facts]] = {}
+#: One shared object per distinct answer set and per distinct record:
+#: many shapes (``movl %eax, 8(%rsp)``, ``movl %eax, 16(%rsp)``) share one.
+_SHARED: dict = {}
+_MISSING = object()
+
+
+def shared(value):
+    """The one stored object equal to the immutable *value*."""
+    if len(_SHARED) < FACTS_MEMO_MAX:
+        return _SHARED.setdefault(value, value)
+    return _SHARED.get(value, value)
 
 
 def _resolve_items(insn: Instruction, items: Tuple[str, ...]) -> Set[str]:
@@ -74,72 +100,93 @@ def _address_uses(insn: Instruction) -> Set[str]:
     return groups
 
 
-def reg_uses(insn: Instruction) -> Set[str]:
-    """Alias groups of registers the instruction reads.
-
-    Address registers of memory operands are always uses.  Calls and other
-    barriers conservatively use the ABI argument registers.
-    """
-    entry = _lookup(insn)
-    uses, defs, _, _, _, _, _, barrier = entry
-    groups = _resolve_items(insn, uses) | _address_uses(insn)
+def _derive(insn: Instruction) -> Optional[Facts]:
+    base = insn.base
+    entry = TABLES.get((base, len(insn.operands)))
+    if entry is None:
+        entry = TABLES.get((base, None))
+    if entry is None:
+        return None
+    uses, defs, written, read, cleared, result, undefined, barrier = entry
+    # Address registers of memory operands are always uses.  Calls and
+    # other barriers use the ABI argument registers and clobber the
+    # caller-saved ones; a designated "def" operand that is memory
+    # defines no register.
+    reg_uses = _resolve_items(insn, uses) | _address_uses(insn)
+    reg_defs = _resolve_items(insn, defs)
     if barrier:
-        groups |= set(CALL_USED)
-    return groups
+        reg_uses |= CALL_USED
+        reg_defs |= CALL_CLOBBERED | {"rsp"}
+    # The ``cc`` marker reads the flags of the condition suffix.
+    flags_read = set(read)
+    if "cc" in flags_read:
+        flags_read.discard("cc")
+        if insn.cond is not None:
+            flags_read |= cc_flags_read(insn.cond)
+    sets = [shared(frozenset(items)) for items in (
+        reg_uses, reg_defs, flags_read, written, cleared, result, undefined)]
+    return shared(Facts(*sets, bool(barrier)))
 
 
-def reg_defs(insn: Instruction) -> Set[str]:
+def _record(insn: Instruction) -> Optional[Facts]:
+    # The answers depend on the mnemonic and the operand values only.
+    key = (insn.mnemonic, *insn.operands)
+    record = _FACTS.get(key, _MISSING)
+    if record is _MISSING:
+        record = _derive(insn)
+        if len(_FACTS) < FACTS_MEMO_MAX:
+            _FACTS[key] = record
+    return record
+
+
+def facts(insn: Instruction) -> Facts:
+    """All side-effect answers for *insn*; raises
+    :class:`UnknownSideEffects` when it has no table entry."""
+    record = _record(insn)
+    if record is None:
+        raise UnknownSideEffects(insn.base)
+    return record
+
+
+def reg_uses(insn: Instruction) -> FrozenSet[str]:
+    """Alias groups of registers the instruction reads."""
+    return facts(insn).uses
+
+
+def reg_defs(insn: Instruction) -> FrozenSet[str]:
     """Alias groups of registers the instruction writes."""
-    entry = _lookup(insn)
-    _, defs, _, _, _, _, _, barrier = entry
-    groups = _resolve_items(insn, defs)
-    # A designated "def" operand that is memory defines no register.
-    if barrier:
-        groups |= set(CALL_CLOBBERED) | {"rsp"}
-    return groups
+    return facts(insn).defs
 
 
 def flags_written(insn: Instruction) -> FrozenSet[str]:
-    entry = _lookup(insn)
-    return frozenset(entry[2])
+    return facts(insn).flags_written
 
 
 def flags_read(insn: Instruction) -> FrozenSet[str]:
-    """Flags read; resolves the ``cc`` marker via the condition suffix."""
-    entry = _lookup(insn)
-    flags = set(entry[3])
-    if "cc" in flags:
-        flags.discard("cc")
-        if insn.cond is not None:
-            flags |= cc_flags_read(insn.cond)
-    return frozenset(flags)
+    """Flags read, with a condition suffix resolved to its flags."""
+    return facts(insn).flags_read
 
 
 def flags_cleared(insn: Instruction) -> FrozenSet[str]:
     """Flags written with a known-zero value (e.g. CF/OF after logic ops)."""
-    return frozenset(_lookup(insn)[4])
+    return facts(insn).flags_cleared
 
 
 def flags_result(insn: Instruction) -> FrozenSet[str]:
     """Flags whose post-state reflects the destination value."""
-    return frozenset(_lookup(insn)[5])
+    return facts(insn).flags_result
 
 
 def flags_undefined(insn: Instruction) -> FrozenSet[str]:
-    return frozenset(_lookup(insn)[6])
+    return facts(insn).flags_undefined
 
 
 def is_barrier(insn: Instruction) -> bool:
-    """True for call/ret/syscall-like instructions that end analysis scope."""
-    try:
-        return bool(_lookup(insn)[7])
-    except UnknownSideEffects:
-        return True
+    """True for call/ret/syscall-like instructions that end analysis scope
+    (and for instructions with no table entry)."""
+    record = _record(insn)
+    return record is None or record.barrier
 
 
 def has_side_effect_entry(insn: Instruction) -> bool:
-    try:
-        _lookup(insn)
-        return True
-    except UnknownSideEffects:
-        return False
+    return _record(insn) is not None

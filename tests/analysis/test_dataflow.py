@@ -34,6 +34,29 @@ class TestLocations:
         insn = parse_instruction("movl $1, %eax").insn
         assert "rax" in location_defs(insn)
 
+    def test_answers_follow_redmov_operand_rewrite(self):
+        # REDMOV rewrites the second load's operand list in place; the
+        # same Instruction must then answer for its new operands.
+        from repro.passes import run_passes
+        from repro.x86 import sideeffects
+        unit = parse_unit("""
+.text
+.type f, @function
+f:
+    movq 24(%rsp), %r10
+    movq 24(%rsp), %r11
+    ret
+""")
+        second = list(unit.functions[0].instructions())[1].insn
+        assert sideeffects.reg_uses(second) == {"rsp"}
+        assert location_defs(second) == {"r11"}
+        result = run_passes(unit, "REDMOV")
+        assert result.total("REDMOV", "rewritten") == 1
+        assert str(second) == "movq %r10, %r11"
+        assert sideeffects.reg_uses(second) == {"r10"}
+        assert location_uses(second) == {"r10"}
+        assert location_defs(second) == {"r11"}
+
 
 class TestReachingDefinitions:
     def test_straight_line_unique_def(self):

@@ -1,9 +1,13 @@
 """Tests for the lexer and operand value objects."""
 
+import random
+
 import pytest
 
 from repro.x86.lexer import (
     LexError,
+    _split_nested,
+    _split_quoted,
     logical_lines,
     parse_integer,
     split_operands,
@@ -41,6 +45,55 @@ class TestLogicalLines:
         lines = list(logical_lines("nop\n\nret\n"))
         assert [(l.text, l.lineno) for l in lines] \
             == [("nop", 1), ("ret", 3)]
+
+    def test_escaped_quote_stays_in_string(self):
+        lines = list(logical_lines('.ascii "a\\"b;c" ; nop\n'))
+        assert [l.text for l in lines] == ['.ascii "a\\"b;c"', "nop"]
+
+    def test_escaped_backslash_closes_string(self):
+        lines = list(logical_lines('.ascii "a\\\\"; nop # c\n'))
+        assert [l.text for l in lines] == ['.ascii "a\\\\"', "nop"]
+
+
+#: Fragments the generated lines are made of: comment, statement and
+#: operand separators, quotes (plain, escaped, after an escaped
+#: backslash), parentheses, empty operands and blank statements.
+FRAGMENTS = ["#", ";", ";;", " ; ", '"', '\\"', '\\\\"', "(", ")", ",",
+             ",,", ", ,", "a", "movl", " ", "\t", "%eax", "8(%rax,%rbx,4)",
+             "$1", ".L5"]
+
+
+def generated_lines(seed, count=2000, quotes=True):
+    rng = random.Random(seed)
+    fragments = [f for f in FRAGMENTS if quotes or '"' not in f]
+    for _ in range(count):
+        yield "".join(rng.choice(fragments)
+                      for _ in range(rng.randrange(0, 12)))
+
+
+class TestFastPaths:
+    """The string-method paths agree with the quote- and
+    depth-tracking loops they bypass."""
+
+    @pytest.mark.parametrize("quotes", [False, True])
+    def test_logical_lines_match_quote_aware_loop(self, quotes):
+        for line in generated_lines(1, quotes=quotes):
+            want = [s.strip() for s in _split_quoted(line) if s.strip()]
+            assert [l.text for l in logical_lines(line)] == want, line
+
+    def test_split_operands_matches_depth_loop(self):
+        for text in generated_lines(2):
+            assert split_operands(text) == _split_nested(text), text
+        plain = [t for t in generated_lines(3) if "(" not in t
+                 and ")" not in t]
+        assert len(plain) > 100
+        for text in plain:
+            assert split_operands(text) == _split_nested(text), text
+
+    def test_empty_and_trailing_operands(self):
+        assert split_operands("a,,b") == ["a", "", "b"]
+        assert split_operands("a, b,") == ["a", "b"]
+        assert split_operands(",") == [""]
 
 
 class TestTokenizer:
@@ -130,31 +183,39 @@ class TestOperandObjects:
 
 
 class TestTokenInterning:
-    """Corpus parsing must not allocate duplicate tokens per line."""
-
-    def test_two_parses_share_register_tokens(self):
-        first = tokenize_operand("8(%rax,%rbx,4)")
-        second = tokenize_operand("8(%rax,%rbx,4)")
-        assert first == second
-        regs_first = [t for t in first if t[0] == "REG"]
-        regs_second = [t for t in second if t[0] == "REG"]
-        assert regs_first and all(
-            a is b for a, b in zip(regs_first, regs_second))
-
-    def test_all_tokens_shared_across_parses(self):
-        first = tokenize_operand("-16(%rsp)")
-        second = tokenize_operand("-16(%rsp)")
-        for a, b in zip(first, second):
-            assert a is b
-
-    def test_same_register_in_different_operands_shared(self):
-        (reg_a,) = [t for t in tokenize_operand("%rdi") if t[0] == "REG"]
-        reg_b = [t for t in tokenize_operand("8(%rdi)")
-                 if t[0] == "REG"][0]
-        assert reg_a is reg_b
-
     def test_mnemonics_interned_across_instructions(self):
         from repro.x86.parser import parse_instruction
         one = parse_instruction("movq %rax, %rbx")
         two = parse_instruction("movq %rcx, %rdx")
         assert one.insn.mnemonic is two.insn.mnemonic
+
+
+class TestOperandMemo:
+    def test_two_parses_share_memory_operand(self):
+        from repro.x86.parser import parse_operand
+        first = parse_operand("8(%rax,%rbx,4)")
+        assert isinstance(first, Memory)
+        assert parse_operand("8(%rax,%rbx,4)") is first
+
+    @pytest.mark.parametrize("text", ["%bogus", "8(%rax,%rbx,3)", "%eax?",
+                                      "$1 2"])
+    def test_errors_carry_the_calling_line_every_time(self, text):
+        from repro.x86.parser import ParseError, parse_instruction
+        for lineno in (3, 7, 3):
+            with pytest.raises(ParseError) as info:
+                parse_instruction("movl %s, %%eax" % text, lineno)
+            assert info.value.lineno == lineno
+
+    def test_branch_and_data_decode_apart(self):
+        from repro.x86.parser import parse_operand
+        for _ in range(2):
+            assert parse_operand(".L5", is_branch=False) \
+                == Memory(symbol=".L5")
+            assert parse_operand(".L5", is_branch=True) == LabelRef(".L5")
+
+    def test_mnemonic_decode_is_shared(self):
+        from repro.x86.isa import UnknownMnemonic, split_mnemonic
+        assert split_mnemonic("addl") is split_mnemonic("addl")
+        for _ in range(2):
+            with pytest.raises(UnknownMnemonic):
+                split_mnemonic("frobl")

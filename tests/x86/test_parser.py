@@ -193,3 +193,12 @@ main:
     def test_line_numbers(self):
         statements = parse_asm_text("\n\nnop\n")
         assert statements[0].lineno == 3
+
+    def test_string_ending_in_escaped_backslash_closes(self):
+        statements = parse_asm_text(
+            '.text\nf:\n.ascii "a\\\\"; incl %eax\n ret\n')
+        assert [type(s).__name__ for s in statements] == [
+            "ParsedDirective", "ParsedLabel", "ParsedDirective",
+            "ParsedInstruction", "ParsedInstruction"]
+        assert statements[2].args == '"a\\\\"'
+        assert [s.insn.mnemonic for s in statements[3:]] == ["incl", "ret"]

@@ -139,3 +139,42 @@ class TestBarriers:
         assert not sideeffects.has_side_effect_entry(bogus)
         # Unknown side effects are conservatively treated as barriers.
         assert sideeffects.is_barrier(bogus)
+
+
+class TestSharedFacts:
+    """Answers are derived once per (mnemonic, operand values) shape and
+    shared: they must be immutable, and equal answers one object."""
+
+    def test_results_are_immutable(self):
+        i = insn("addl %eax, %ebx")
+        for query in (sideeffects.reg_uses, sideeffects.reg_defs,
+                      sideeffects.flags_read, sideeffects.flags_written,
+                      sideeffects.flags_cleared, sideeffects.flags_result,
+                      sideeffects.flags_undefined):
+            result = query(i)
+            assert isinstance(result, frozenset)
+            with pytest.raises(AttributeError):
+                result.add("rcx")
+
+    def test_equal_answers_are_one_object(self):
+        assert sideeffects.facts(insn("addl %eax, %ebx")) \
+            is sideeffects.facts(insn("addl %eax, %ebx"))
+        assert sideeffects.reg_uses(insn("movl %eax, %ebx")) \
+            is sideeffects.reg_uses(insn("movq %rax, %rcx"))
+        assert sideeffects.flags_written(insn("addl %eax, %ebx")) \
+            is sideeffects.flags_written(insn("subq $1, %rcx"))
+
+    def test_answers_follow_in_place_operand_rewrite(self):
+        i = insn("movq 24(%rsp), %r11")
+        assert sideeffects.reg_uses(i) == {"rsp"}
+        i.operands = [insn("movq %r10, %rax").operands[0], i.operands[1]]
+        assert sideeffects.reg_uses(i) == {"r10"}
+        i.operands[1] = insn("movq %r10, %rax").operands[1]
+        assert sideeffects.reg_defs(i) == {"rax"}
+
+    def test_unknown_shape_is_remembered_as_unknown(self):
+        from repro.x86.instruction import Instruction
+        for _ in range(2):
+            with pytest.raises(sideeffects.UnknownSideEffects):
+                sideeffects.facts(Instruction("rep"))
+            assert sideeffects.is_barrier(Instruction("rep"))
