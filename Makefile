@@ -157,12 +157,22 @@ perf-report:
 
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli --mao=REDTEST:LOOP16 \
-		--sim core2 --jobs 2 --trace-out /tmp/pymao_trace.jsonl \
+		--sim core2 --trace-out /tmp/pymao_trace.jsonl \
 		-o /tmp/pymao_trace_out.s examples/hot_loop.s
 	$(PYTHON) scripts/validate_trace.py /tmp/pymao_trace.jsonl \
 		--require optimize --require parse --require pass:REDTEST \
 		--require relax --require simulate
 	$(PYTHON) scripts/perf_report.py --check /tmp/pymao_trace.jsonl
+	mkdir -p /tmp/pymao_trace_batch
+	cp examples/hot_loop.s /tmp/pymao_trace_batch/a.s
+	cp examples/hot_loop.s /tmp/pymao_trace_batch/b.s
+	PYTHONPATH=src $(PYTHON) -m repro.cli --mao=REDTEST:LOOP16 \
+		--jobs 2 --parallel-backend process --no-cache \
+		--trace-out /tmp/pymao_trace_batch.jsonl \
+		-o /tmp/pymao_trace_batch_out \
+		/tmp/pymao_trace_batch/a.s /tmp/pymao_trace_batch/b.s
+	$(PYTHON) scripts/validate_trace.py /tmp/pymao_trace_batch.jsonl \
+		--require batch --require pass:REDTEST --require relax
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -6,9 +6,7 @@ field:
 
 * ``BENCH_hotpath.json`` (``mao-bench-hotpath/1``) from
   ``benchmarks/bench_hotpath.py`` — encoding cache + incremental
-  relaxation + parallel pass pipeline; its ``parallel_pipeline.pipeline``
-  section is a versioned ``pymao.pipeline/1`` PipelineResult, rebuilt
-  through ``PipelineResult.from_dict`` (no duck-typed dict poking);
+  relaxation;
 * ``BENCH_sim.json`` (``mao-bench-sim/1``) from
   ``benchmarks/bench_sim_engine.py`` or ``scripts/bench_runner.py`` —
   block cache + streaming + loop fast-forward (plus, when produced by
@@ -115,18 +113,6 @@ def _row(label: str, value: str) -> None:
     print("  %-26s %s" % (label, value))
 
 
-def _load_pipeline(data: dict):
-    """Rebuild a serialized PipelineResult; None if absent/invalid."""
-    from repro.passes.manager import PipelineResult
-
-    if not data:
-        return None
-    try:
-        return PipelineResult.from_dict(data)
-    except (ValueError, KeyError, TypeError):
-        return None
-
-
 # ---------------------------------------------------------------------------
 # The schema registry.
 # ---------------------------------------------------------------------------
@@ -148,7 +134,7 @@ def register(schema: str):
 
 @register("mao-bench-hotpath/1")
 class HotpathReport:
-    """Encoding cache + incremental relaxation + parallel pipeline."""
+    """Encoding cache + incremental relaxation."""
 
     @staticmethod
     def render(results: dict) -> None:
@@ -169,23 +155,6 @@ class HotpathReport:
             _row("cache hit rate",
                  "%.1f%%" % (100 * section["cache_hit_rate"]))
             _row("byte-identical", str(section["byte_identical"]))
-        parallel = results.get("parallel_pipeline")
-        if parallel:
-            print("parallel_pipeline:")
-            _row("spec", parallel["spec"])
-            _row("jobs / backend", "%d / %s"
-                 % (parallel["jobs"], parallel["backend"]))
-            _row("serial", "%.4fs" % parallel["serial_s"])
-            _row("parallel", "%.4fs" % parallel["parallel_s"])
-            _row("speedup vs serial", "%.2fx" % parallel["speedup"])
-            _row("deterministic", str(parallel["deterministic"]))
-            pipeline = _load_pipeline(parallel.get("pipeline"))
-            if pipeline is not None:
-                for name in pipeline.pass_names():
-                    totals = pipeline.stats_for(name)
-                    summary = "  ".join("%s=%d" % (k, v)
-                                        for k, v in sorted(totals.items()))
-                    _row("pass %s" % name, summary or "(no stats)")
 
     @staticmethod
     def check(results: dict, min_speedup: float) -> list:
@@ -202,15 +171,6 @@ class HotpathReport:
         if corpus and corpus["speedup"] < min_speedup:
             failures.append("relax_corpus speedup %.2fx < required %.2fx"
                             % (corpus["speedup"], min_speedup))
-        parallel = results.get("parallel_pipeline")
-        if parallel:
-            if not parallel["deterministic"]:
-                failures.append("parallel pipeline output diverged from "
-                                "serial")
-            if "pipeline" in parallel \
-                    and _load_pipeline(parallel["pipeline"]) is None:
-                failures.append("parallel_pipeline.pipeline is not a valid "
-                                "pymao.pipeline/1 document")
         return failures
 
 

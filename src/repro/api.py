@@ -8,7 +8,7 @@ through :mod:`repro.obs`:
 
 * :func:`optimize` — parse (if needed) and run a pass pipeline::
 
-      result = api.optimize(source, "REDTEST:LOOP16", jobs=4)
+      result = api.optimize(source, "REDTEST:LOOP16")
       result.unit, result.pipeline, result.parse_s, result.passes_s
 
 * :func:`simulate` — execute + time a program on a processor model::
@@ -47,9 +47,7 @@ parameter of every entry point is ``source`` and accepts assembly text,
 a parsed :class:`~repro.ir.MaoUnit`, or the *name* of a workload kernel
 from :mod:`repro.workloads.kernels` (``api.predict("hash_bench",
 "core2")``); ``workload=`` additionally accepts a kernel name or any
-callable returning source, with ``source`` left ``None``.  The old
-per-function first-parameter keywords (``src=``, ``src_or_unit=``,
-``src_or_result=``) keep working behind ``DeprecationWarning`` shims.
+callable returning source, with ``source`` left ``None``.
 
 One model convention everywhere: ``core=`` takes a
 :class:`~repro.uarch.model.ProcessorModel` instance or a profile name
@@ -68,12 +66,11 @@ admission control and the shared artifact cache.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
 import repro.passes  # noqa: F401  (registers all built-in passes)
-from repro import obs
+from repro import obs, pool
 from repro.ir import MaoUnit, parse_unit
 from repro.passes.manager import (
     PassPipeline,
@@ -94,35 +91,6 @@ OPTIMIZE_SCHEMA = "pymao.optimize/1"
 
 #: Schema of :meth:`SimResult.to_dict`.
 SIM_SCHEMA = "pymao.sim/1"
-
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from an explicit ``None``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-_UNSET = _Unset()
-
-
-def _merge_renamed(new: Any, old: Any, old_name: str) -> Any:
-    """Fold a deprecated first-parameter keyword into ``source``.
-
-    Returns the effective value; warns when the old keyword is used and
-    rejects calls that set both.
-    """
-    if old is _UNSET:
-        return None if new is _UNSET else new
-    warnings.warn("%s= is deprecated; pass source= (or positionally)"
-                  % old_name, DeprecationWarning, stacklevel=3)
-    if new is not _UNSET and new is not None:
-        raise TypeError("got values for both source and the deprecated "
-                        "%s= keyword" % old_name)
-    return old
 
 
 def _resolve_source(source: Union[None, str, MaoUnit], *,
@@ -327,7 +295,7 @@ class SimResult(ApiResult):
                    _reason=str(data.get("reason", "")))
 
 
-def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
+def optimize(source: Union[None, str, MaoUnit] = None,
              spec: Union[None, str, SpecItems] = None, *,
              jobs: int = 1,
              parallel_backend: str = "thread",
@@ -338,8 +306,7 @@ def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
              profile_dir: Optional[str] = None,
              pgo_policy: Any = None,
              cache: Union[bool, Any] = True,
-             cache_dir: Optional[str] = None,
-             src: Any = _UNSET) -> OptimizeResult:
+             cache_dir: Optional[str] = None) -> OptimizeResult:
     """Parse *source* (text, a unit, or a kernel name) and run *spec*
     (a ``--mao=`` string or ``(name, options)`` items) over it.
 
@@ -351,11 +318,12 @@ def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     via *cache*/*cache_dir*), the default spec (warm), or a passthrough
     (cold).  The decision summary lands on ``result.pgo``.
 
-    ``src=`` is the deprecated spelling of ``source=``.
+    ``jobs``/``parallel_backend`` are the fan-out of the PGO tune search
+    (see :mod:`repro.pool`); one unit's passes run serially.
     """
     import time
 
-    source = _merge_renamed(source, src, "src")
+    pool.check(jobs, parallel_backend)
     resolved = _resolve_source(source, workload=workload)
     pgo_doc: Optional[Dict[str, Any]] = None
     if profile_guided:
@@ -388,8 +356,7 @@ def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
                               functions=len(unit.functions))
         items = _resolve_spec(spec)
         start = time.perf_counter()
-        result = PassPipeline(items).run(unit, jobs=jobs,
-                                         parallel_backend=parallel_backend)
+        result = PassPipeline(items).run(unit)
         passes_s = time.perf_counter() - start
         if root:
             root.attach(passes=[name for name, _ in items],
@@ -457,9 +424,7 @@ def optimize_many(inputs, spec: Union[None, str, SpecItems] = None, *,
                             cache=cache_obj, predict=predict_core)
 
 
-def verify(source: Union[None, str, MaoUnit, "OptimizeResult",
-                         _Unset] = _UNSET, *,
-           src_or_result: Any = _UNSET):
+def verify(source: Union[None, str, MaoUnit, "OptimizeResult"] = None):
     """The paper's §III.A correctness flow on the public surface.
 
     For source text (or a unit / kernel name): assemble it (O1), run the
@@ -471,12 +436,9 @@ def verify(source: Union[None, str, MaoUnit, "OptimizeResult",
 
     Returns a :class:`repro.verify.VerifyResult`; ``identical`` is the
     verdict, ``first_diff`` the earliest divergent disassembly pair.
-
-    ``src_or_result=`` is the deprecated spelling of ``source=``.
     """
     from repro import verify as _verify
 
-    source = _merge_renamed(source, src_or_result, "src_or_result")
     if isinstance(source, OptimizeResult):
         text = source.to_asm()
     else:
@@ -488,13 +450,12 @@ def verify(source: Union[None, str, MaoUnit, "OptimizeResult",
     return result
 
 
-def predict(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
-            core: Union[str, ProcessorModel, _Unset] = _UNSET, *,
+def predict(source: Union[None, str, MaoUnit] = None,
+            core: Union[None, str, ProcessorModel] = None, *,
             function: Optional[str] = None,
             loop: Optional[str] = None,
             workload: Union[None, str, Any] = None,
-            assume_lsd: bool = False,
-            src_or_unit: Any = _UNSET):
+            assume_lsd: bool = False):
     """Statically predict steady-state cycles-per-iteration on *core*.
 
     The analytical fast path: no instruction is executed.  The
@@ -510,15 +471,12 @@ def predict(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     Orders of magnitude faster than :func:`simulate` but blind to branch
     prediction, caches, and trip counts — see DESIGN for when to trust
     which tool.
-
-    ``src_or_unit=`` is the deprecated spelling of ``source=``.
     """
     import time
 
     from repro.uarch import static_model
 
-    source = _merge_renamed(source, src_or_unit, "src_or_unit")
-    if core is _UNSET:
+    if core is None:
         raise TypeError("predict() missing required argument: 'core'")
     resolved = _resolve_source(source, workload=workload)
     model = _resolve_model(core)
@@ -538,25 +496,21 @@ def predict(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     return prediction
 
 
-def simulate(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
-             core: Union[str, ProcessorModel, _Unset] = _UNSET, *,
+def simulate(source: Union[None, str, MaoUnit] = None,
+             core: Union[None, str, ProcessorModel] = None, *,
              workload: Union[None, str, Any] = None,
              entry_symbol: str = "main",
              max_steps: int = 5_000_000,
              args: Optional[List[int]] = None,
-             fast_forward: bool = True,
-             src_or_unit: Any = _UNSET) -> SimResult:
+             fast_forward: bool = True) -> SimResult:
     """Execute + time a program on *core* in one streaming pass.
 
     *source* is assembly text, a parsed unit, or a workload kernel name;
     alternatively pass ``workload=`` (a kernel name from
     :mod:`repro.workloads.kernels`, or any callable returning source
     text) and leave *source* ``None``.
-
-    ``src_or_unit=`` is the deprecated spelling of ``source=``.
     """
-    source = _merge_renamed(source, src_or_unit, "src_or_unit")
-    if core is _UNSET:
+    if core is None:
         raise TypeError("simulate() missing required argument: 'core'")
     model = _resolve_model(core)
     resolved = _resolve_source(source, workload=workload)
@@ -573,8 +527,8 @@ def simulate(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     return SimResult(result=result, stats=stats)
 
 
-def tune(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
-         core: Union[str, ProcessorModel, _Unset] = _UNSET, *,
+def tune(source: Union[None, str, MaoUnit] = None,
+         core: Union[None, str, ProcessorModel] = None, *,
          function: Optional[str] = None,
          budget: Optional[int] = None,
          n_select: Optional[int] = None,
@@ -610,9 +564,8 @@ def tune(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     """
     from repro import tune as _tune
 
-    if core is _UNSET:
+    if core is None:
         raise TypeError("tune() missing required argument: 'core'")
-    source = None if isinstance(source, _Unset) else source
     text = _source_text(_resolve_source(source, workload=workload))
     cache_obj = _resolve_cache(cache, cache_dir, cache_salt,
                                max_cache_bytes)

@@ -103,8 +103,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "the fnmatch PATTERN (implies span capture; "
                              "PYMAO_PROFILE env var is the equivalent)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan function-scoped passes across N workers "
-                             "(default: 1, serial)")
+                        help="files optimized concurrently in batch mode "
+                             "(default: 1)")
     parser.add_argument("--parallel-backend", choices=("thread", "process"),
                         default="thread",
                         help="worker pool kind for --jobs > 1 "

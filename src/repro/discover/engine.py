@@ -34,9 +34,9 @@ module-level functions, picklable for the process backend.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import pool
 from repro.mbench import detect
 from repro.mbench.processor import Processor
 from repro.uarch import tables
@@ -221,13 +221,7 @@ def _run_stage(names: List[str], model: ProcessorModel,
                jobs: int, parallel_backend: str):
     """Execute one stage's tasks, merging results in declaration order."""
     payloads = [(name, model, dict(inferred), ranges) for name in names]
-    if jobs <= 1 or len(payloads) == 1:
-        outcomes = [_exec_task(p) for p in payloads]
-    else:
-        pool_cls = (ProcessPoolExecutor if parallel_backend == "process"
-                    else ThreadPoolExecutor)
-        with pool_cls(max_workers=min(jobs, len(payloads))) as pool:
-            outcomes = list(pool.map(_exec_task, payloads))
+    outcomes = pool.ordered_map(_exec_task, payloads, jobs, parallel_backend)
     by_name = {name: (updates, evidence)
                for name, updates, evidence in outcomes}
     merged_updates: Dict[str, Any] = {}
@@ -293,12 +287,7 @@ def run_discovery(oracle: ProcessorModel, *, name: str = "discovered",
     and the ``crosscheck`` battery.  :func:`repro.discover.discover`
     wraps it in a :class:`~repro.discover.DiscoverResult`.
     """
-    if parallel_backend not in ("thread", "process"):
-        raise ValueError("unknown parallel backend %r "
-                         "(expected 'thread' or 'process')"
-                         % (parallel_backend,))
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    pool.check(jobs, parallel_backend)
     ranges = ranges if ranges is not None else tables.load_ranges()
 
     inferred: Dict[str, Any] = {}

@@ -28,11 +28,6 @@ class MaoPass:
     #: True for passes whose value is an effect outside the IR (e.g. ASM
     #: writing a file).  Result caches must not replay around such passes.
     SIDE_EFFECTS: bool = False
-    #: True for passes that read the section layout (addresses from
-    #: relaxation).  The manager runs them serially in-process at any
-    #: ``jobs``: a function laid out alone, or beside neighbours that
-    #: another worker is changing, has different addresses.
-    READS_LAYOUT: bool = False
 
     def __init__(self, options: Optional[Dict[str, Any]] = None) -> None:
         merged: Dict[str, Any] = {"trace": 0, "dump": False}

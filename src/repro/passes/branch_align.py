@@ -33,7 +33,6 @@ class BranchAlignPass(MaoFunctionPass):
         "max_nops": 16,       # give up beyond this many fill bytes
         "count_only": False,
     }
-    READS_LAYOUT = True
 
     def Go(self) -> bool:
         shift = int(self.option("shift"))

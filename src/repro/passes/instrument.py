@@ -29,7 +29,6 @@ class InstrumentationPointsPass(MaoFunctionPass):
     """Place non-line-crossing 5-byte NOPs at function entry/exit."""
 
     OPTIONS = {"cache_line": 64, "count_only": False}
-    READS_LAYOUT = True
 
     def Go(self) -> bool:
         if self.option("count_only"):

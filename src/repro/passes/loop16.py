@@ -61,7 +61,6 @@ class ShortLoopAlignPass(MaoFunctionPass):
         "max_skip": 15,      # .p2align max-skip budget
         "count_only": False,
     }
-    READS_LAYOUT = True
 
     def Go(self) -> bool:
         line_bytes = int(self.option("line"))

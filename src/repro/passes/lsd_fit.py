@@ -35,7 +35,6 @@ class LsdFitPass(MaoFunctionPass):
         "max_lines": 4,       # the LSD line budget
         "count_only": False,
     }
-    READS_LAYOUT = True
 
     def Go(self) -> bool:
         line_bytes = int(self.option("line"))

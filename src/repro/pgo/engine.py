@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
+from repro import obs, pool
 from repro.obs import metrics
 from repro.pgo.classify import (
     TIER_COLD,
@@ -94,6 +94,7 @@ def decide_many(sources: Sequence[Tuple[str, str]], *,
     from repro.batch.cache import source_sha256
     from repro.tune import TuneError, tune
 
+    pool.check(jobs, parallel_backend)
     store = store if store is not None else ProfileStore()
     policy = policy or PgoPolicy()
     tiers = classify(store, policy)

@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import pool
 from repro.obs import metrics
 from repro.result import register_schema
 
@@ -281,12 +282,8 @@ def profile_many(inputs: Sequence[Tuple[str, str]], *, period: int,
     only on ``(source, period, seed)``, so results are identical for any
     ``jobs`` / backend combination.
     """
+    pool.check(jobs, parallel_backend)
     payloads = [(name, source, int(period), seed, entry_symbol,
                  int(max_steps)) for name, source in inputs]
-    if jobs <= 1 or len(payloads) <= 1:
-        return [_profile_worker(payload) for payload in payloads]
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-    pool_cls = (ThreadPoolExecutor if parallel_backend == "thread"
-                else ProcessPoolExecutor)
-    with pool_cls(max_workers=jobs) as pool:
-        return list(pool.map(_profile_worker, payloads))
+    return pool.ordered_map(_profile_worker, payloads, jobs,
+                            parallel_backend)

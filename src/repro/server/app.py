@@ -15,8 +15,8 @@ clients amortize one warm cache and one worker pool:
   ``pymao.trace/1`` metrics event.
 
 **Admission control.**  CPU-bound work never runs on the event loop; it
-is shipped to a bounded worker pool (thread or process — the pass
-manager's backend vocabulary).  A request is *admitted* iff fewer than
+is shipped to a bounded worker pool (thread or process, from
+:mod:`repro.pool`).  A request is *admitted* iff fewer than
 ``max_inflight + max_queue`` admitted requests exist; everything else is
 refused up front with ``503`` + ``Retry-After`` (backpressure, not
 buffering).  Admitted requests wait on a semaphore for one of the
@@ -43,11 +43,10 @@ import itertools
 import signal
 import socket
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
-from repro import obs
+from repro import obs, pool
 from repro.batch.cache import (
     DEFAULT_MAX_BYTES,
     default_cache_dir,
@@ -173,17 +172,12 @@ class MaoServer:
 
     async def start(self) -> None:
         config = self.config
-        if config.parallel_backend not in ("thread", "process"):
-            raise ValueError("unknown server backend %r"
-                             % config.parallel_backend)
         if config.parallel_backend == "process" and config.test_delay_s:
             raise ValueError("test_delay_s requires the thread backend")
         if config.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        workers = config.workers or config.max_inflight
-        pool_cls = (ThreadPoolExecutor if config.parallel_backend == "thread"
-                    else ProcessPoolExecutor)
-        self._executor = pool_cls(max_workers=workers)
+        self._executor = pool.executor(config.workers or config.max_inflight,
+                                       config.parallel_backend)
         self._loop = asyncio.get_running_loop()
         self._drain_requested = asyncio.Event()
         self._slots = asyncio.Semaphore(config.max_inflight)

@@ -57,7 +57,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import obs
+from repro import obs, pool
 from repro.result import ApiResult, register_schema
 
 #: Schema of :meth:`TuneResult.to_dict`.
@@ -119,8 +119,8 @@ def _step_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Materialize one prefix-trie node: run a single pass over the
     parent's emitted assembly.
 
-    Top-level and picklable (the process backend ships it across
-    ``ProcessPoolExecutor``), never raises, plain dicts in and out —
+    Top-level and picklable (the process backend ships it to a worker
+    process), never raises, plain dicts in and out —
     the same contract as the batch and server workers.  The text round
     trip (parse parent asm, run, re-emit) makes thread and process
     results byte-identical by construction.
@@ -180,7 +180,7 @@ class _PrefixEvaluator:
         self.source = source
         self.source_sha = source_sha256(source)
         self.cache = cache
-        self.jobs = max(1, int(jobs))
+        self.jobs = jobs
         self.parallel_backend = parallel_backend
         self._pool = None
         root = _encode(())
@@ -196,14 +196,7 @@ class _PrefixEvaluator:
         if self.jobs <= 1 or len(payloads) <= 1:
             return [_step_worker(p) for p in payloads]
         if self._pool is None:
-            import concurrent.futures as futures
-
-            if self.parallel_backend == "process":
-                self._pool = futures.ProcessPoolExecutor(
-                    max_workers=self.jobs)
-            else:
-                self._pool = futures.ThreadPoolExecutor(
-                    max_workers=self.jobs)
+            self._pool = pool.executor(self.jobs, self.parallel_backend)
         return list(self._pool.map(_step_worker, payloads))
 
     def close(self) -> None:
@@ -506,10 +499,10 @@ def tune(source: str, core, *,
         raise TuneError("n_select must be >= 1")
     if max_rounds < 0:
         raise TuneError("max_rounds must be >= 0")
-    if parallel_backend not in ("thread", "process"):
-        raise TuneError("unknown parallel backend %r "
-                        "(expected 'thread' or 'process')"
-                        % (parallel_backend,))
+    try:
+        pool.check(jobs, parallel_backend)
+    except ValueError as exc:
+        raise TuneError(str(exc)) from exc
     if not isinstance(source, str):
         raise TuneError("tune() needs source text (got %s)"
                         % type(source).__name__)

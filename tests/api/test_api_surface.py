@@ -1,6 +1,6 @@
 """The unified request surface: one source-resolution convention, one
-``core=`` convention, deprecation shims for the old keyword names, and
-the shared ApiResult schema registry."""
+``core=`` convention, the retired old keyword names, and the shared
+ApiResult schema registry."""
 
 import warnings
 
@@ -79,24 +79,20 @@ class TestResolveSource:
 
 
 class TestDeprecatedKeywords:
-    def test_optimize_src_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="src="):
-            shimmed = api.optimize(src=SOURCE, spec="LOOP16")
-        assert shimmed.to_asm() == api.optimize(SOURCE, "LOOP16").to_asm()
+    """The old first-parameter keywords and ``backend=`` are retired:
+    passing one is a ``TypeError``, not a warning."""
 
-    def test_predict_src_or_unit_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="src_or_unit="):
-            shimmed = api.predict(src_or_unit=SOURCE, core="core2")
-        assert shimmed.cycles == api.predict(SOURCE, "core2").cycles
+    def test_retired_keywords_rejected(self):
+        from repro.batch import run_batch
 
-    def test_simulate_src_or_unit_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="src_or_unit="):
-            shimmed = api.simulate(src_or_unit=SOURCE, core="core2")
-        assert shimmed.cycles == api.simulate(SOURCE, "core2").cycles
-
-    def test_verify_src_or_result_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="src_or_result="):
-            api.verify(src_or_result=SOURCE)
+        calls = [lambda: api.optimize(src=SOURCE),
+                 lambda: api.predict(src_or_unit=SOURCE, core="core2"),
+                 lambda: api.simulate(src_or_unit=SOURCE, core="core2"),
+                 lambda: api.verify(src_or_result=SOURCE),
+                 lambda: run_batch([("a.s", SOURCE)], backend="thread")]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     def test_both_new_and_old_keyword_is_an_error(self):
         with warnings.catch_warnings():

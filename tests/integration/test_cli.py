@@ -74,6 +74,24 @@ class TestDriver:
         err = capsys.readouterr().err
         assert "parse:" in err and "passes:" in err
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_jobs_leaves_single_file_output_unchanged(self, tmp_path,
+                                                      backend):
+        from repro.workloads.corpus import CorpusConfig, generate_corpus_text
+
+        source = tmp_path / "in.s"
+        source.write_text(generate_corpus_text(
+            CorpusConfig(seed=2, scale=0.001, functions=4)))
+        outputs = []
+        for jobs in ("1", "4"):
+            out = tmp_path / ("out%s.s" % jobs)
+            assert main(["--mao=REDTEST:LOOP16", "--jobs", jobs,
+                         "--parallel-backend", backend, "-o", str(out),
+                         str(source)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != source.read_bytes()
+
     def test_missing_input_errors(self):
         with pytest.raises(SystemExit):
             main(["--mao=REDTEST"])

@@ -16,7 +16,6 @@ from repro.passes.manager import (
     run_passes,
     spec_has_side_effects,
 )
-from repro.workloads.corpus import CorpusConfig, generate_corpus_text
 
 
 class TestSpecParsing:
@@ -226,89 +225,11 @@ main:
         result = run_passes(unit, "LFIND")
         assert result.total("LFIND", "loops") == 1
 
-
-class TestParallelPipeline:
-    """jobs=N must be indistinguishable from serial — same IR, same
-    reports, in function order — whatever the backend."""
-
-    MULTI = "\n".join(
-        """
-.globl f{i}
-.type f{i}, @function
-f{i}:
-    andl $255, %eax
-    mov %eax, %eax
-    subl $16, %r15d
-    testl %r15d, %r15d
-    ret
-""".format(i=i) for i in range(4))
-    MULTI = ".text\n" + MULTI
-
-    SPEC = "REDZEE:REDTEST:ADDADD"
-
-    def _run(self, jobs, backend="thread"):
-        unit = parse_unit(self.MULTI)
-        result = run_passes(unit, self.SPEC, jobs=jobs,
-                            parallel_backend=backend)
-        return unit.to_asm(), [(r.pass_name, r.scope, r.stats)
-                               for r in result.reports]
-
-    def test_thread_backend_matches_serial(self):
-        serial_asm, serial_reports = self._run(jobs=1)
-        parallel_asm, parallel_reports = self._run(jobs=4)
-        assert parallel_asm == serial_asm
-        assert parallel_reports == serial_reports
-
-    def test_process_backend_matches_serial(self):
-        serial_asm, serial_reports = self._run(jobs=1)
-        parallel_asm, parallel_reports = self._run(jobs=2,
-                                                   backend="process")
-        assert parallel_asm == serial_asm
-        assert parallel_reports == serial_reports
-
     def test_reports_in_function_order(self):
-        _, reports = self._run(jobs=4)
-        for name in ("REDZEE", "REDTEST", "ADDADD"):
-            scopes = [scope for pass_name, scope, _ in reports
-                      if pass_name == name]
-            assert scopes == ["f0", "f1", "f2", "f3"]
-
-    def test_invalid_jobs_rejected(self):
-        unit = parse_unit(self.MULTI)
-        with pytest.raises(ValueError):
-            run_passes(unit, self.SPEC, jobs=0)
-        with pytest.raises(ValueError):
-            run_passes(unit, self.SPEC, parallel_backend="fiber")
-
-
-class TestLayoutPassesStaySerial:
-    """Passes that read the section layout run serially in-process at
-    any ``jobs``: a process worker lays out its function alone, and
-    thread workers would lay out a section other workers are editing."""
-
-    #: The optimize spec of the benchmark's ``optimize_cold`` workload.
-    CORPUS_SPEC = "REDZEE:REDTEST:REDMOV:ADDADD:LOOP16"
-
-    def test_layout_readers_declared(self):
-        readers = {name for name in registered_passes()
-                   if get_pass(name).READS_LAYOUT}
-        assert readers == {"LOOP16", "LSDFIT", "BRALIGN", "NOPKILL",
-                           "PREFALIGN", "INSTRUMENT"}
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_corpus_unit_matches_serial(self, backend):
-        # Before LOOP16 was kept serial, this unit's process-backend
-        # output aligned a different set of loops than the serial run.
-        text = generate_corpus_text(
-            CorpusConfig(seed=2, scale=0.001, functions=4))
-
-        def optimize(jobs):
-            unit = parse_unit(text)
-            result = run_passes(unit, self.CORPUS_SPEC, jobs=jobs,
-                                parallel_backend=backend)
-            return unit.to_asm(), [(r.pass_name, r.scope, r.stats)
-                                   for r in result.reports]
-
-        serial = optimize(1)
-        assert serial[0] != text
-        assert optimize(2) == serial
+        unit = parse_unit(".text\n" + "".join(
+            ".globl f{i}\n.type f{i}, @function\nf{i}:\n"
+            "    mov %eax, %eax\n    ret\n".format(i=i) for i in range(4)))
+        result = run_passes(unit, "REDZEE:REDTEST")
+        assert [(r.pass_name, r.scope) for r in result.reports] \
+            == [(name, "f%d" % i) for name in ("REDZEE", "REDTEST")
+                for i in range(4)]
