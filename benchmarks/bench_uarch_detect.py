@@ -78,16 +78,25 @@ def test_blinded_parameter_detection(once):
 
 def test_known_profile_structure_detection(once):
     """The Core-2 / Opteron structural parameters the paper documents."""
+    def lsd_lines(proc):
+        # Blind: line size and LSD threshold are detected first.
+        line = detect.DetectDecodeLineSize(proc)
+        threshold = detect.DetectLsdIterationThreshold(proc, line)
+        return detect.DetectLsdLineBudgetByCounter(proc, line, threshold)
+
     def run():
         c2 = Processor(core2())
         amd = Processor(opteron())
         return {
             "core2 line": (detect.DetectDecodeLineSize(c2), 16),
             "core2 bp shift": (detect.DetectBranchPredictorShift(c2), 5),
-            "core2 lsd lines": (detect.DetectLsdLineBudget(c2), 4),
-            "core2 fw bw": (detect.DetectForwardingBandwidth(c2), 3),
+            "core2 lsd lines": (lsd_lines(c2), 4),
+            "core2 fw bw": (detect.DetectForwardingBandwidthMatch(
+                c2, c2.model), 3),
             "opteron line": (detect.DetectDecodeLineSize(amd), 32),
-            "opteron lsd lines": (detect.DetectLsdLineBudget(amd), 1),
+            "opteron lsd lines": (lsd_lines(amd), 1),
+            "opteron fw bw": (detect.DetectForwardingBandwidthMatch(
+                amd, amd.model), 3),
         }
 
     results = once(run)

@@ -152,98 +152,6 @@ main:
     return max_shift
 
 
-def DetectLsdLineBudget(proc: Processor, max_lines: int = 8,
-                        trip_count: int = 2000,
-                        line_bytes: Optional[int] = None) -> Optional[int]:
-    """Infer how many decode lines a loop may span and still stream.
-
-    Loop bodies built from 8-byte NOPs are aligned to a line boundary and
-    sized to span exactly 1..max_lines lines.  While the LSD streams, the
-    cost per line is ~(instructions/stream width); beyond the budget the
-    fetch bound of one line per cycle takes over — the cycles-per-line
-    ratio jumps from ~0.5 to ~1.0.  Returns the last size before the jump,
-    or None when no transition is observed.
-
-    ``line_bytes`` lets a caller that already *inferred* the line size
-    (:func:`DetectDecodeLineSize`) stay fully blind; when omitted the
-    model's own value is used, as the original experiment did.
-    """
-    line = line_bytes or proc.model.decode_line_bytes
-    per_line: List[float] = []
-    for lines_spanned in range(1, max_lines + 1):
-        # body = N eight-byte NOPs + 6 bytes of sub/jne = lines*line - 2.
-        count = max(1, (lines_spanned * line - 8) // 8)
-        seq = InstructionSequence(proc, length=count)
-        seq.SetInstructionTemplate("nopl 128(%rax,%rax,1)")
-        seq.SetDagType(DagType.DISJOINT)
-        seq.Generate()
-        inner = StraightLineLoop([seq], proc, trip_count=trip_count)
-        inner.align_loop = line.bit_length() - 1
-        bench = Benchmark(LoopList([inner]))
-        results = bench.Execute(proc, [proc.CPU_CYCLES],
-                                max_steps=8_000_000)
-        per_iter = results[proc.CPU_CYCLES] / trip_count
-        per_line.append(per_iter / lines_spanned)
-
-    # While streaming, cycles-per-line falls with size (fixed stream
-    # width over more lines); past the budget the fetch bound snaps it
-    # back up.  The jump marks the budget.
-    for i in range(1, len(per_line)):
-        if per_line[i] > per_line[i - 1] * 1.3:
-            return i          # budget = previous size in lines
-    return None
-
-
-def DetectForwardingBandwidth(proc: Processor,
-                              max_streams: int = 4,
-                              trip_count: int = 1500) -> int:
-    """Infer how many results forward per cycle (§III.F effect).
-
-    Independent result streams are added one at a time (ALU streams on the
-    symmetric ports, then a load stream); once the number of results
-    retiring per cycle exceeds the forwarding bandwidth,
-    ``RESOURCE_STALLS:RS_FULL`` events appear.  Returns the largest stream
-    count that runs stall-free.
-    """
-    from repro.mbench.benchmark import load_program_cached
-    from repro.uarch.pipeline import simulate_program
-
-    alu_regs = ["rbx", "rcx", "rdx"]
-    clean = 0
-    for streams in range(1, max_streams + 1):
-        body: List[str] = []
-        for i in range(min(streams, 3)):
-            body.append("    addq $1, %%%s" % alu_regs[i])
-        if streams >= 4:
-            body.append("    movq 0(%r15), %rsi")
-        # Unroll x4 so steady-state behaviour dominates.
-        body = body * 4
-        source = """
-.text
-.globl main
-main:
-    push %%r15
-    leaq buf(%%rip), %%r15
-    movq $%d, %%rbp
-.Lloop:
-%s
-    subq $1, %%rbp
-    jne .Lloop
-    pop %%r15
-    ret
-.section .bss
-buf:
-    .zero 64
-""" % (trip_count, "\n".join(body))
-        program = load_program_cached(source)
-        _, stats = simulate_program(program, proc.model,
-                                    private_memory=True)
-        if stats["RESOURCE_STALLS_RS_FULL"] > trip_count // 4:
-            return clean
-        clean = streams
-    return clean
-
-
 # ---------------------------------------------------------------------------
 # Discovery ladders (repro.discover).  Everything below measures through PMU
 # counters only, or — nanoBench-style — compares the oracle's counters with
@@ -435,12 +343,11 @@ def DetectLsdLineBudgetByCounter(proc: Processor, line_bytes: int,
                                  max_lines: int = 8) -> int:
     """Infer the LSD line budget from the ``LSD_UOPS`` counter directly.
 
-    :func:`DetectLsdLineBudget` infers the budget from a cycles-per-line
-    discontinuity, which washes out when streamed uops-per-line happens to
-    equal the fetch bound (e.g. 8-byte NOPs on a 32-byte line at stream
-    width 4).  Real PMUs expose the streamed-uop count itself, so this
-    ladder asks the counter: grow the aligned body one line at a time and
-    return the largest span that still streams.
+    A cycles-per-line discontinuity washes out when streamed
+    uops-per-line happens to equal the fetch bound (e.g. 8-byte NOPs on a
+    32-byte line at stream width 4).  Real PMUs expose the streamed-uop
+    count itself, so this ladder asks the counter: grow the aligned body
+    one line at a time and return the largest span that still streams.
     """
     align = line_bytes.bit_length() - 1
     trips = min_iterations + 64
@@ -486,10 +393,10 @@ def DetectForwardingBandwidthMatch(proc: Processor, base_model,
                                    candidates=range(1, 9)) -> Optional[int]:
     """Grid-match the forwarding bandwidth against candidate models.
 
-    :func:`DetectForwardingBandwidth` reads the stall counter's threshold
-    crossing, which is only exact when retire pressure steps in units of
-    one; this variant instead fits the whole cycle count of a
-    high-pressure body (12 ALU streams + 4 loads per iteration) the way
+    A stall counter's threshold crossing is only exact when retire
+    pressure steps in units of one (it reads 4 on opteron, whose truth
+    is 3); this fits the whole cycle count of a high-pressure body
+    (12 ALU streams + 4 loads per iteration) the way
     :func:`DetectMispredictPenalty` does.  Returns None when no candidate
     reproduces the oracle — some other base parameter is off.
     """

@@ -16,13 +16,12 @@ clients amortize one warm cache and one worker pool:
 
 **Admission control.**  CPU-bound work never runs on the event loop; it
 is shipped to a bounded worker pool (thread or process, from
-:mod:`repro.pool`).  A request is *admitted* iff fewer than
-``max_inflight + max_queue`` admitted requests exist; everything else is
-refused up front with ``503`` + ``Retry-After`` (backpressure, not
-buffering).  Admitted requests wait on a semaphore for one of the
-``max_inflight`` execution slots, bounded by ``request_timeout_s``
-end-to-end.  Once admitted, a request is never dropped: it ends in a
-response (200/4xx/504), even during drain.
+:mod:`repro.pool`).  The shared :class:`~repro.server.service.Admission`
+admits up to ``max_inflight + max_queue`` requests and refuses the rest
+up front with ``503`` + ``Retry-After`` (backpressure, not buffering).
+Admitted requests wait on a semaphore for one of the ``max_inflight``
+execution slots, bounded by ``request_timeout_s`` end to end (``504``),
+and always end in a response, even during drain.
 
 **Shared cache.**  All optimize/batch work shares one content-addressed
 :class:`~repro.batch.cache.ArtifactCache` store; identical concurrent
@@ -31,20 +30,15 @@ the leader's executor task (shielded, so one impatient client cannot
 cancel work others depend on) instead of re-optimizing.
 
 **Drain.**  ``SIGTERM``/``SIGINT`` (or :meth:`MaoServer.request_drain`)
-closes the listener, nudges idle keep-alive connections closed, lets
-every inflight request finish, flushes the trace sink, and returns — the
-process exits 0.
+runs the shared :meth:`~repro.server.service.Service.drain`, then shuts
+the worker pool down and flushes the trace sink; the process exits 0.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
-import signal
-import socket
-import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
 from repro import obs, pool
 from repro.batch.cache import (
@@ -61,13 +55,8 @@ from repro.passes.manager import (
 )
 from repro.result import register_schema
 from repro.server import work
-from repro.server.http import (
-    ProtocolError,
-    Request,
-    error_payload,
-    read_request,
-    render_json,
-)
+from repro.server.http import ProtocolError, Request, render_json
+from repro.server.service import Service, ServiceThread
 
 #: Schema tag carried by every JSON response envelope.
 SERVER_SCHEMA = register_schema("server", "pymao.server/1")
@@ -135,7 +124,7 @@ def _delayed(fn, delay_s: float):
     """Wrap a worker so it sleeps *delay_s* before executing (the
     ``test_delay_s`` hook).  Defined at module scope per backend rules —
     but a closure cannot cross a process boundary, so the process
-    backend rejects the hook instead (see :meth:`MaoServer.start`)."""
+    backend rejects the hook instead (see :meth:`MaoServer._open`)."""
     import functools
     import time
 
@@ -147,30 +136,26 @@ def _delayed(fn, delay_s: float):
     return wrapper
 
 
-class MaoServer:
+class MaoServer(Service):
     """The service: admission control + routing over a worker pool."""
+
+    name = "server"
+    request_id_prefix = "req"
 
     def __init__(self, config: ServerConfig, *,
                  registry: Optional[obs.Registry] = None) -> None:
-        self.config = config
-        self.registry = registry if registry is not None else obs.REGISTRY
-        self.port: Optional[int] = None      # bound port after start()
-        self._server: Optional[asyncio.base_events.Server] = None
+        limit = config.max_inflight + config.max_queue
+        super().__init__(config, registry, limit=limit,
+                         full_message="at capacity (inflight+queued >= %d)"
+                         % limit)
         self._executor = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._draining = False
-        self._drain_requested: Optional[asyncio.Event] = None
-        self._admitted = 0                   # executing + queued
         self._executing = 0
         self._slots: Optional[asyncio.Semaphore] = None
-        self._singleflight: Dict[str, asyncio.Task] = {}
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._idle_writers: Set[asyncio.StreamWriter] = set()
-        self._request_seq = itertools.count(1)
+        self._singleflight: Dict[str, asyncio.Future] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self) -> None:
+    async def _open(self) -> None:
         config = self.config
         if config.parallel_backend == "process" and config.test_delay_s:
             raise ValueError("test_delay_s requires the thread backend")
@@ -178,58 +163,10 @@ class MaoServer:
             raise ValueError("max_inflight must be >= 1")
         self._executor = pool.executor(config.workers or config.max_inflight,
                                        config.parallel_backend)
-        self._loop = asyncio.get_running_loop()
-        self._drain_requested = asyncio.Event()
         self._slots = asyncio.Semaphore(config.max_inflight)
-        self._server = await asyncio.start_server(
-            self._handle_conn, config.host, config.port)
-        sockets = self._server.sockets or []
-        for sock in sockets:
-            if sock.family in (socket.AF_INET, socket.AF_INET6):
-                self.port = sock.getsockname()[1]
-                break
 
-    async def run(self, *, install_signals: bool = True,
-                  ready=None) -> None:
-        """Start, serve until drain is requested, then drain."""
-        await self.start()
-        if install_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                self._loop.add_signal_handler(signum, self.request_drain)
-        try:
-            if ready is not None:
-                ready(self)
-            await self._drain_requested.wait()
-        finally:
-            if install_signals:
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    self._loop.remove_signal_handler(signum)
-            await self.drain()
-
-    def request_drain(self) -> None:
-        """Signal-safe (from the loop thread) drain trigger."""
-        self._draining = True
-        if self._drain_requested is not None:
-            self._drain_requested.set()
-
-    async def drain(self) -> None:
-        """Stop accepting, finish inflight, flush the trace sink."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Idle keep-alive connections sit in read_request() forever;
-        # closing their transports turns that into a clean EOF.
-        for writer in list(self._idle_writers):
-            writer.close()
-        pending = [task for task in self._conn_tasks if not task.done()]
-        if pending:
-            done, not_done = await asyncio.wait(
-                pending, timeout=self.config.drain_grace_s)
-            for task in not_done:
-                task.cancel()
-            if not_done:
-                await asyncio.gather(*not_done, return_exceptions=True)
+    async def _close(self) -> None:
+        """Shut the worker pool down and flush the trace sink."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         if self.config.trace_out:
@@ -241,177 +178,108 @@ class MaoServer:
             finally:
                 sink.close()
 
-    # -- connection handling ------------------------------------------------
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            await self._conn_loop(reader, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            self._idle_writers.discard(writer)
-            writer.close()
-
-    async def _conn_loop(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-        while True:
-            self._idle_writers.add(writer)
-            try:
-                request = await read_request(
-                    reader, max_body_bytes=self.config.max_body_bytes)
-            except ProtocolError as exc:
-                self.registry.inc("server.protocol_errors")
-                writer.write(render_json(
-                    exc.status, error_payload(exc.status, exc.message),
-                    keep_alive=False))
-                await writer.drain()
-                return
-            finally:
-                self._idle_writers.discard(writer)
-            if request is None:
-                return
-            keep_alive = request.keep_alive and not self._draining
-            response = await self._dispatch(request, keep_alive)
-            writer.write(response)
-            await writer.drain()
-            if not keep_alive:
-                return
-
     # -- routing ------------------------------------------------------------
 
-    async def _dispatch(self, request: Request, keep_alive: bool) -> bytes:
-        rid = request.headers.get("x-request-id") \
-            or "req-%06d" % next(self._request_seq)
-        self.registry.inc("server.requests")
-        headers = {"X-Request-Id": rid}
+    #: Work endpoints and the handler each one runs in an execution slot.
+    _HANDLERS = {"/v1/optimize": "_handle_optimize",
+                 "/v1/batch": "_handle_batch",
+                 "/v1/simulate": "_handle_simulate",
+                 "/v1/predict": "_handle_predict",
+                 "/v1/tune": "_handle_tune",
+                 "/v1/profile": "_handle_profile"}
+
+    async def _route(self, request: Request, rid: str, keep_alive: bool,
+                     headers: Dict[str, str]) -> Any:
         route = (request.method, request.path)
-        try:
-            if route == ("GET", "/healthz"):
-                return render_json(200, self._health_payload(rid),
-                                   keep_alive=keep_alive, headers=headers)
-            if route == ("GET", "/metrics"):
-                event = obs.metrics_event(self.registry.snapshot())
-                event["request_id"] = rid
-                return render_json(200, event, keep_alive=keep_alive,
-                                   headers=headers)
-            if request.method == "POST" and request.path in (
-                    "/v1/optimize", "/v1/batch", "/v1/simulate",
-                    "/v1/predict", "/v1/tune", "/v1/profile"):
-                return await self._dispatch_work(request, rid, keep_alive,
-                                                 headers)
-            self.registry.inc("server.not_found")
-            return render_json(404, error_payload(
-                404, "no route for %s %s" % route, rid),
-                keep_alive=keep_alive, headers=headers)
-        except ProtocolError as exc:
-            return render_json(exc.status,
-                               error_payload(exc.status, exc.message, rid),
-                               keep_alive=keep_alive, headers=headers)
-        except Exception as exc:   # a handler bug, not a client error
-            self.registry.inc("server.errors")
-            return render_json(500, error_payload(
-                500, "internal error: %s: %s" % (type(exc).__name__, exc),
-                rid), keep_alive=keep_alive, headers=headers)
+        if route == ("GET", "/healthz"):
+            return self._health_payload(rid)
+        if route == ("GET", "/metrics"):
+            event = obs.metrics_event(self.registry.snapshot())
+            event["request_id"] = rid
+            return event
+        if request.method == "POST" and request.path in self._HANDLERS:
+            return await self._dispatch_work(request, rid, keep_alive,
+                                             headers)
+        return None
 
     def _health_payload(self, rid: str) -> Dict[str, Any]:
         from repro import __version__
 
+        admission = self.admission
         return {"schema": SERVER_SCHEMA,
-                "status": "draining" if self._draining else "ok",
+                "status": "draining" if admission.draining else "ok",
                 "version": __version__,
                 "request_id": rid,
                 "inflight": self._executing,
-                "queue_depth": self._admitted - self._executing,
-                "queued": self._admitted - self._executing,
+                "queue_depth": admission.admitted - self._executing,
+                "queued": admission.admitted - self._executing,
                 "max_inflight": self.config.max_inflight,
                 "max_queue": self.config.max_queue,
                 "cache": self.config.cache_spec() is not None}
 
-    def _publish_admission_gauges(self) -> None:
+    def _admission_changed(self) -> None:
         """Keep the live admission state visible as registry gauges, so
         ``/metrics`` (and the fleet front door aggregating it) reports
         the same ``inflight`` / ``queue_depth`` numbers ``/healthz``
         does — the backpressure bench asserts against these."""
         self.registry.gauge("server.inflight", self._executing)
         self.registry.gauge("server.queue_depth",
-                            self._admitted - self._executing)
+                            self.admission.admitted - self._executing)
 
     # -- admission + execution ----------------------------------------------
 
     async def _dispatch_work(self, request: Request, rid: str,
                              keep_alive: bool,
                              headers: Dict[str, str]) -> bytes:
-        config = self.config
-        # Admission decision: accept-and-finish, or refuse now.  A
-        # draining server accepts nothing new; a full server (executing
-        # + queued at the bound) sheds load instead of buffering it.
-        if self._draining \
-                or self._admitted >= config.max_inflight + config.max_queue:
-            self.registry.inc("server.rejected")
-            headers = dict(headers)
-            headers["Retry-After"] = "%g" % config.retry_after_s
-            return render_json(503, error_payload(
-                503, "draining" if self._draining else "at capacity "
-                "(inflight+queued >= %d)"
-                % (config.max_inflight + config.max_queue), rid),
-                keep_alive=keep_alive, headers=headers)
-        self._admitted += 1
-        self._publish_admission_gauges()
+        refused = self.admission.refuse(rid, keep_alive, headers)
+        if refused is not None:
+            return refused
         try:
             with obs.detached_span("request:%s" % request.path,
                                    request_id=rid,
                                    bytes=len(request.body)) as span:
-                try:
-                    payload = await asyncio.wait_for(
-                        self._execute(request, rid, span),
-                        timeout=config.request_timeout_s)
-                except asyncio.TimeoutError:
-                    self.registry.inc("server.timeouts")
+                def respond(payload: Dict[str, Any]) -> bytes:
+                    if span:
+                        span.attach(status=200)
+                    return render_json(200, payload, keep_alive=keep_alive,
+                                       headers=headers)
+
+                def timed_out() -> None:
                     if span:
                         span.attach(outcome="timeout")
-                    return render_json(504, error_payload(
-                        504, "request exceeded %.1fs"
-                        % config.request_timeout_s, rid),
-                        keep_alive=keep_alive, headers=headers)
-                status = payload.pop("_status", 200)
-                if span:
-                    span.attach(status=status)
-                return render_json(status, payload,
-                                   keep_alive=keep_alive, headers=headers)
+
+                return await self.admission.run(
+                    self._execute(request, rid, span), respond, rid,
+                    keep_alive, headers, on_timeout=timed_out)
         finally:
-            self._admitted -= 1
-            self._publish_admission_gauges()
             obs.adopt_span(None, span)
 
     async def _execute(self, request: Request, rid: str,
                        span) -> Dict[str, Any]:
         async with self._slots:
             self._executing += 1
-            self._publish_admission_gauges()
+            self._admission_changed()
             try:
-                if request.path == "/v1/optimize":
-                    return await self._handle_optimize(request, rid, span)
-                if request.path == "/v1/batch":
-                    return await self._handle_batch(request, rid, span)
-                if request.path == "/v1/predict":
-                    return await self._handle_predict(request, rid, span)
-                if request.path == "/v1/tune":
-                    return await self._handle_tune(request, rid, span)
-                if request.path == "/v1/profile":
-                    return await self._handle_profile(request, rid, span)
-                return await self._handle_simulate(request, rid, span)
+                handler = getattr(self, self._HANDLERS[request.path])
+                return await handler(request, rid, span)
             finally:
                 self._executing -= 1
-                self._publish_admission_gauges()
+                self._admission_changed()
 
     def _run_in_pool(self, fn, payload) -> "asyncio.Future":
         if self.config.test_delay_s:
             fn = _delayed(fn, self.config.test_delay_s)
         return self._loop.run_in_executor(self._executor, fn, payload)
+
+    def _checked(self, outcome: Dict[str, Any], span) -> Dict[str, Any]:
+        """A worker's outcome; an input error it reports is the
+        client's 400."""
+        if outcome["status"] == "error":
+            self.registry.inc("server.client_errors")
+            if span:
+                span.attach(error=outcome["kind"], status=400)
+            raise ProtocolError(400, outcome["error"])
+        return outcome
 
     # -- handlers -----------------------------------------------------------
 
@@ -448,6 +316,18 @@ class MaoServer:
                                      "from the response")
         return items
 
+    @staticmethod
+    def _core_and_input(data: Dict[str, Any]):
+        """The validated ``core`` and exactly one of ``source`` /
+        ``workload``."""
+        core = _validate_core(data.get("core"))
+        source = data.get("source")
+        workload = data.get("workload")
+        if (source is None) == (workload is None):
+            raise ProtocolError(400, "pass exactly one of 'source' or "
+                                     "'workload'")
+        return core, source, workload
+
     async def _handle_optimize(self, request: Request, rid: str,
                                span) -> Dict[str, Any]:
         data = self._body_object(request)
@@ -469,19 +349,11 @@ class MaoServer:
         task = self._singleflight.get(key)
         coalesced = task is not None
         if task is None:
-            task = self._loop.create_task(self._await_pool(
-                work.optimize_worker, payload))
+            task = self._run_in_pool(work.optimize_worker, payload)
             self._singleflight[key] = task
             task.add_done_callback(
                 lambda _t, _key=key: self._singleflight.pop(_key, None))
-        outcome = await asyncio.shield(task)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            if span:
-                span.attach(error=outcome["kind"])
-            return {"_status": 400,
-                    "error": outcome["error"], "status": 400,
-                    "request_id": rid}
+        outcome = self._checked(await asyncio.shield(task), span)
         if outcome.get("span") is not None and span:
             obs.adopt_span(span, obs.Span.from_dict(outcome["span"]))
         cache_state = "coalesced" if coalesced else outcome["cache"]
@@ -491,9 +363,6 @@ class MaoServer:
         return {"schema": SERVER_SCHEMA, "request_id": rid,
                 "cache": cache_state, "asm": outcome["asm"],
                 "pipeline": outcome["pipeline"]}
-
-    async def _await_pool(self, fn, payload) -> Dict[str, Any]:
-        return await self._run_in_pool(fn, payload)
 
     async def _handle_batch(self, request: Request, rid: str,
                             span) -> Dict[str, Any]:
@@ -512,11 +381,8 @@ class MaoServer:
                    "spec_items": spec_items,
                    "want_spans": obs.enabled(),
                    "cache": self.config.cache_spec()}
-        outcome = await self._await_pool(work.batch_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
+        outcome = self._checked(
+            await self._run_in_pool(work.batch_worker, payload), span)
         if span:
             span.attach(files=len(inputs))
         return {"schema": SERVER_SCHEMA, "request_id": rid,
@@ -532,23 +398,14 @@ class MaoServer:
         at ``/metrics``) are its observability story.
         """
         data = self._body_object(request)
-        core = data.get("core")
-        core = _validate_core(core)
-        source = data.get("source")
-        workload = data.get("workload")
-        if (source is None) == (workload is None):
-            raise ProtocolError(400, "pass exactly one of 'source' or "
-                                     "'workload'")
+        core, source, workload = self._core_and_input(data)
         payload = {"source": source, "workload": workload, "core": core,
                    "function": data.get("function"),
                    "loop": data.get("loop"),
                    "assume_lsd": bool(data.get("assume_lsd", False)),
                    "want_spans": obs.enabled()}
-        outcome = await self._await_pool(work.predict_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
+        outcome = self._checked(
+            await self._run_in_pool(work.predict_worker, payload), span)
         prediction = outcome["prediction"]
         self.registry.inc("server.predict.requests")
         if span:
@@ -574,13 +431,7 @@ class MaoServer:
         fleet routes both by the same input digest — cache affinity).
         """
         data = self._body_object(request)
-        core = data.get("core")
-        core = _validate_core(core)
-        source = data.get("source")
-        workload = data.get("workload")
-        if (source is None) == (workload is None):
-            raise ProtocolError(400, "pass exactly one of 'source' or "
-                                     "'workload'")
+        core, source, workload = self._core_and_input(data)
         payload: Dict[str, Any] = {
             "source": source, "workload": workload, "core": core,
             "function": data.get("function"),
@@ -594,11 +445,8 @@ class MaoServer:
                                            self._TUNE_MAX_ROUNDS),
             "want_spans": obs.enabled(),
             "cache": self.config.cache_spec()}
-        outcome = await self._await_pool(work.tune_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
+        outcome = self._checked(
+            await self._run_in_pool(work.tune_worker, payload), span)
         doc = outcome["tune"]
         self.registry.inc("server.tune.requests")
         if span:
@@ -633,11 +481,8 @@ class MaoServer:
         payload = {"profile": document, "digest": digest,
                    "want_spans": obs.enabled(),
                    "profile_dir": self.config.profile_dir}
-        outcome = await self._await_pool(work.profile_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
+        outcome = self._checked(
+            await self._run_in_pool(work.profile_worker, payload), span)
         self.registry.inc("server.profile.requests")
         stored = outcome["profile"]
         if span:
@@ -662,22 +507,13 @@ class MaoServer:
     async def _handle_simulate(self, request: Request, rid: str,
                                span) -> Dict[str, Any]:
         data = self._body_object(request)
-        core = data.get("core")
-        core = _validate_core(core)
-        source = data.get("source")
-        workload = data.get("workload")
-        if (source is None) == (workload is None):
-            raise ProtocolError(400, "pass exactly one of 'source' or "
-                                     "'workload'")
+        core, source, workload = self._core_and_input(data)
         payload = {"source": source, "workload": workload, "core": core,
                    "entry_symbol": data.get("entry_symbol", "main"),
                    "max_steps": data.get("max_steps", 5_000_000),
                    "want_spans": obs.enabled()}
-        outcome = await self._await_pool(work.simulate_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
+        outcome = self._checked(
+            await self._run_in_pool(work.simulate_worker, payload), span)
         if span:
             span.attach(core=core, cycles=outcome["cycles"])
         return {"schema": SERVER_SCHEMA, "request_id": rid,
@@ -686,56 +522,13 @@ class MaoServer:
                 "counters": outcome["counters"]}
 
 
-class ServerThread:
+class ServerThread(ServiceThread):
     """Run a :class:`MaoServer` on a background thread — the in-process
     harness tests and benches use (``with ServerThread(config) as s:``).
     """
 
-    def __init__(self, config: ServerConfig) -> None:
-        self.config = config
-        self.server: Optional[MaoServer] = None
-        self.port: Optional[int] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
+    service_class = MaoServer
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:     # surface startup failures
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        server = MaoServer(self.config)
-
-        def on_ready(bound: MaoServer) -> None:
-            self.server = bound
-            self.port = bound.port
-            self._ready.set()
-
-        await server.run(install_signals=False, ready=on_ready)
-
-    def __enter__(self) -> "ServerThread":
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise RuntimeError("server failed to start") \
-                from self._startup_error
-        if self.port is None:
-            raise RuntimeError("server did not become ready")
-        return self
-
-    def stop(self) -> None:
-        if (self._loop is not None and self.server is not None
-                and not self._loop.is_closed()):
-            try:
-                self._loop.call_soon_threadsafe(self.server.request_drain)
-            except RuntimeError:
-                pass               # loop torn down between check and call
-        self._thread.join(timeout=60)
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    @property
+    def server(self) -> Optional[MaoServer]:
+        return self.service

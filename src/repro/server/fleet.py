@@ -22,13 +22,15 @@ optimization, never a correctness requirement: the content-addressed
 store is shared, so *any* worker can serve *any* key — a put by worker
 A is a hit for worker B (cross-instance coherence; pinned by tests).
 
-**Zero dropped admitted requests.**  The front door admits a request
-iff the fleet has capacity (``workers x worker_inflight`` executing
-slots plus ``max_queue``); everything else is refused up front with
-``503 + Retry-After``.  Once admitted, a request always ends in a real
-response: forwarding retries across the ring's preference order when a
-worker is draining or unreachable, and waits out transient all-busy
-windows, bounded end-to-end by ``request_timeout_s`` (``504``).
+**Zero dropped admitted requests.**  The front door's
+:class:`~repro.server.service.Admission` (the one ``mao serve`` uses)
+admits a request iff the fleet has capacity (``workers x
+worker_inflight`` executing slots plus ``max_queue``); everything else
+is refused up front with ``503 + Retry-After``.  Once admitted, a
+request always ends in a real response: forwarding retries across the
+ring's preference order when a worker is draining or unreachable, and
+waits out transient all-busy windows, bounded end-to-end by
+``request_timeout_s`` (``504``).
 
 **Rolling restarts.**  ``POST /admin/restart`` drains one worker at a
 time: the member leaves the ring (its keys reroute to ring successors
@@ -48,17 +50,15 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import itertools
 import json
 import os
+import select
 import signal
-import socket
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.batch.cache import (
@@ -71,15 +71,13 @@ from repro.server.http import (
     ProtocolError,
     Request,
     Response,
-    error_payload,
-    read_request,
     read_response,
-    render_json,
     render_request,
     render_response,
 )
 from repro.result import register_schema
 from repro.server.ring import DEFAULT_REPLICAS, HashRing
+from repro.server.service import Service, ServiceThread
 
 #: Schema tag carried by fleet-level response envelopes (/healthz).
 FLEET_SCHEMA = register_schema("fleet", "pymao.fleet/1")
@@ -156,26 +154,21 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
-class FleetServer:
+class FleetServer(Service):
     """The front door: admission + consistent-hash routing over N
     ``mao serve`` worker subprocesses."""
 
+    name = "fleet"
+    request_id_prefix = "fleet"
+
     def __init__(self, config: FleetConfig, *,
                  registry: Optional[obs.Registry] = None) -> None:
-        self.config = config
-        self.registry = registry if registry is not None else obs.REGISTRY
-        self.port: Optional[int] = None
+        super().__init__(config, registry, limit=config.capacity(),
+                         full_message="fleet at capacity (admitted >= %d)"
+                         % config.capacity())
         self.ring = HashRing(replicas=config.ring_replicas)
         self._slots: List[WorkerSlot] = []
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._draining = False
-        self._drain_requested: Optional[asyncio.Event] = None
         self._restart_lock: Optional[asyncio.Lock] = None
-        self._admitted = 0
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._idle_writers: Set[asyncio.StreamWriter] = set()
-        self._request_seq = itertools.count(1)
         #: member -> idle upstream connections [(reader, writer, gen)].
         self._pools: Dict[str, List[Tuple[asyncio.StreamReader,
                                           asyncio.StreamWriter, int]]] = {}
@@ -212,16 +205,17 @@ class FleetServer:
         proc = subprocess.Popen(self._worker_argv(),
                                 stdout=subprocess.PIPE, text=True,
                                 env=_worker_env())
-        deadline = time.monotonic() + self.config.worker_start_timeout_s
-        line = ""
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline().strip()
-            break
+        # The worker prints its bound port first; a worker that hangs
+        # before that line is killed at the deadline.
+        timeout = self.config.worker_start_timeout_s
+        ready, _, _ = select.select([proc.stdout], [], [], timeout)
+        line = proc.stdout.readline().strip() if ready else ""
         if "listening on" not in line:
             proc.kill()
             proc.wait()
-            raise RuntimeError("worker %s failed to start: %r"
-                               % (slot.member, line))
+            proc.stdout.close()
+            raise RuntimeError("worker %s failed to start within %gs: %r"
+                               % (slot.member, timeout, line))
         slot.proc = proc
         slot.port = int(line.rsplit(":", 1)[1])
         slot.generation += 1
@@ -239,6 +233,7 @@ class FleetServer:
         except subprocess.TimeoutExpired:
             proc.kill()
             code = proc.wait()
+        proc.stdout.close()
         slot.proc = None
         slot.port = None
         slot.state = "down"
@@ -250,7 +245,7 @@ class FleetServer:
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self) -> None:
+    async def _open(self) -> None:
         config = self.config
         if config.workers < 1:
             raise ValueError("fleet needs at least one worker")
@@ -259,153 +254,46 @@ class FleetServer:
         if config.worker_backend not in ("thread", "process"):
             raise ValueError("unknown worker backend %r"
                              % config.worker_backend)
-        self._loop = asyncio.get_running_loop()
-        self._drain_requested = asyncio.Event()
         self._restart_lock = asyncio.Lock()
         self._slots = [WorkerSlot(i) for i in range(config.workers)]
-        try:
-            await asyncio.gather(*[
-                self._loop.run_in_executor(None, self._spawn_worker_sync,
-                                           slot)
-                for slot in self._slots])
-        except Exception:
-            for slot in self._slots:
-                if slot.proc is not None:
-                    await self._loop.run_in_executor(
-                        None, self._stop_worker_sync, slot)
-            raise
+        spawned = await asyncio.gather(*[
+            self._loop.run_in_executor(None, self._spawn_worker_sync, slot)
+            for slot in self._slots], return_exceptions=True)
+        failures = [exc for exc in spawned if isinstance(exc, BaseException)]
+        if failures:
+            await self._stop_workers()
+            raise failures[0]
         for slot in self._slots:
             self.ring.add(slot.member)
         self.registry.gauge("fleet.workers_live", len(self.ring))
-        self._server = await asyncio.start_server(
-            self._handle_conn, config.host, config.port)
-        for sock in self._server.sockets or []:
-            if sock.family in (socket.AF_INET, socket.AF_INET6):
-                self.port = sock.getsockname()[1]
-                break
 
-    async def run(self, *, install_signals: bool = True,
-                  ready=None) -> None:
-        """Start, serve until drain is requested, then drain."""
-        await self.start()
-        if install_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                self._loop.add_signal_handler(signum, self.request_drain)
-        try:
-            if ready is not None:
-                ready(self)
-            await self._drain_requested.wait()
-        finally:
-            if install_signals:
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    self._loop.remove_signal_handler(signum)
-            await self.drain()
-
-    def request_drain(self) -> None:
-        self._draining = True
-        if self._drain_requested is not None:
-            self._drain_requested.set()
-
-    async def drain(self) -> None:
-        """Stop accepting, finish inflight forwards, stop the workers."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._idle_writers):
-            writer.close()
-        pending = [task for task in self._conn_tasks if not task.done()]
-        if pending:
-            _done, not_done = await asyncio.wait(
-                pending, timeout=self.config.drain_grace_s)
-            for task in not_done:
-                task.cancel()
-            if not_done:
-                await asyncio.gather(*not_done, return_exceptions=True)
+    async def _close(self) -> None:
+        """Stop the workers once every forward has finished."""
         for slot in self._slots:
             self.ring.remove(slot.member)
             self._close_pool(slot.member)
+        await self._stop_workers()
+
+    async def _stop_workers(self) -> None:
         await asyncio.gather(*[
             self._loop.run_in_executor(None, self._stop_worker_sync, slot)
             for slot in self._slots])
 
-    # -- connection handling (mirrors MaoServer) ----------------------------
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            await self._conn_loop(reader, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            self._idle_writers.discard(writer)
-            writer.close()
-
-    async def _conn_loop(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-        while True:
-            self._idle_writers.add(writer)
-            try:
-                request = await read_request(
-                    reader, max_body_bytes=self.config.max_body_bytes)
-            except ProtocolError as exc:
-                self.registry.inc("fleet.protocol_errors")
-                writer.write(render_json(
-                    exc.status, error_payload(exc.status, exc.message),
-                    keep_alive=False))
-                await writer.drain()
-                return
-            finally:
-                self._idle_writers.discard(writer)
-            if request is None:
-                return
-            keep_alive = request.keep_alive and not self._draining
-            response = await self._dispatch(request, keep_alive)
-            writer.write(response)
-            await writer.drain()
-            if not keep_alive:
-                return
-
     # -- routing ------------------------------------------------------------
 
-    async def _dispatch(self, request: Request, keep_alive: bool) -> bytes:
-        rid = request.headers.get("x-request-id") \
-            or "fleet-%06d" % next(self._request_seq)
-        self.registry.inc("fleet.requests")
-        headers = {"X-Request-Id": rid}
+    async def _route(self, request: Request, rid: str, keep_alive: bool,
+                     headers: Dict[str, str]) -> Any:
         route = (request.method, request.path)
-        try:
-            if route == ("GET", "/healthz"):
-                payload = await self._fleet_health(rid)
-                return render_json(200, payload, keep_alive=keep_alive,
-                                   headers=headers)
-            if route == ("GET", "/metrics"):
-                payload = await self._fleet_metrics(rid)
-                return render_json(200, payload, keep_alive=keep_alive,
-                                   headers=headers)
-            if route == ("POST", "/admin/restart"):
-                return await self._handle_restart(request, rid,
-                                                  keep_alive, headers)
-            if request.method == "POST" \
-                    and request.path.startswith("/v1/"):
-                return await self._dispatch_work(request, rid, keep_alive,
-                                                 headers)
-            self.registry.inc("fleet.not_found")
-            return render_json(404, error_payload(
-                404, "no route for %s %s" % route, rid),
-                keep_alive=keep_alive, headers=headers)
-        except ProtocolError as exc:
-            return render_json(exc.status,
-                               error_payload(exc.status, exc.message, rid),
-                               keep_alive=keep_alive, headers=headers)
-        except Exception as exc:   # a front-door bug, not a client error
-            self.registry.inc("fleet.errors")
-            return render_json(500, error_payload(
-                500, "internal error: %s: %s" % (type(exc).__name__, exc),
-                rid), keep_alive=keep_alive, headers=headers)
+        if route == ("GET", "/healthz"):
+            return await self._fleet_health(rid)
+        if route == ("GET", "/metrics"):
+            return await self._fleet_metrics(rid)
+        if route == ("POST", "/admin/restart"):
+            return await self._handle_restart(request, rid)
+        if request.method == "POST" and request.path.startswith("/v1/"):
+            return await self._dispatch_work(request, rid, keep_alive,
+                                             headers)
+        return None
 
     # -- admission + forwarding ---------------------------------------------
 
@@ -494,40 +382,25 @@ class FleetServer:
     async def _dispatch_work(self, request: Request, rid: str,
                              keep_alive: bool,
                              headers: Dict[str, str]) -> bytes:
-        config = self.config
-        if self._draining or self._admitted >= config.capacity():
-            self.registry.inc("fleet.rejected")
-            headers = dict(headers)
-            headers["Retry-After"] = "%g" % config.retry_after_s
-            return render_json(503, error_payload(
-                503, "draining" if self._draining else
-                "fleet at capacity (admitted >= %d)" % config.capacity(),
-                rid), keep_alive=keep_alive, headers=headers)
-        self._admitted += 1
-        self.registry.gauge("fleet.admitted", self._admitted)
-        try:
-            try:
-                member, response = await asyncio.wait_for(
-                    self._route_and_forward(request, rid),
-                    timeout=config.request_timeout_s)
-            except asyncio.TimeoutError:
-                self.registry.inc("fleet.timeouts")
-                return render_json(504, error_payload(
-                    504, "request exceeded %.1fs"
-                    % config.request_timeout_s, rid),
-                    keep_alive=keep_alive, headers=headers)
-            out_headers = dict(headers)
-            out_headers["X-Worker"] = member
-            if "retry-after" in response.headers:
-                out_headers["Retry-After"] = response.headers["retry-after"]
+        refused = self.admission.refuse(rid, keep_alive, headers)
+        if refused is not None:
+            return refused
+
+        def respond(routed: Tuple[str, Response]) -> bytes:
+            member, response = routed
             return render_response(
                 response.status, response.body,
                 content_type=response.headers.get("content-type",
                                                   "application/json"),
-                keep_alive=keep_alive, headers=out_headers)
-        finally:
-            self._admitted -= 1
-            self.registry.gauge("fleet.admitted", self._admitted)
+                keep_alive=keep_alive,
+                headers=dict(headers, **{"X-Worker": member}))
+
+        return await self.admission.run(
+            self._route_and_forward(request, rid), respond, rid,
+            keep_alive, headers)
+
+    def _admission_changed(self) -> None:
+        self.registry.gauge("fleet.admitted", self.admission.admitted)
 
     async def _route_and_forward(self, request: Request,
                                  rid: str) -> Tuple[str, Response]:
@@ -616,6 +489,9 @@ class FleetServer:
                 if reused and not fresh_retry:
                     continue
                 raise ForwardError("forward to %s: %s" % (slot.member, exc))
+            except asyncio.CancelledError:
+                writer.close()     # a 504 abandoned the forward mid-flight
+                raise
             if response.keep_alive and slot.state == "live" \
                     and generation == slot.generation:
                 self._pools.setdefault(slot.member, []).append(
@@ -662,7 +538,7 @@ class FleetServer:
                 inflight += int(health.get("inflight", 0))
                 queue_depth += int(health.get("queue_depth", 0))
             workers.append(entry)
-        status = "draining" if self._draining else (
+        status = "draining" if self.admission.draining else (
             "degraded" if degraded else "ok")
         return {"schema": FLEET_SCHEMA,
                 "status": status,
@@ -671,7 +547,7 @@ class FleetServer:
                 "workers": workers,
                 "inflight": inflight,
                 "queue_depth": queue_depth,
-                "admitted": self._admitted,
+                "admitted": self.admission.admitted,
                 "capacity": self.config.capacity(),
                 "ring": self.ring.describe(),
                 "cache": self.config.cache}
@@ -690,9 +566,8 @@ class FleetServer:
 
     # -- rolling restart ----------------------------------------------------
 
-    async def _handle_restart(self, request: Request, rid: str,
-                              keep_alive: bool,
-                              headers: Dict[str, str]) -> bytes:
+    async def _handle_restart(self, request: Request,
+                              rid: str) -> Dict[str, Any]:
         data: Dict[str, Any] = {}
         if request.body:
             parsed = request.json()
@@ -710,7 +585,7 @@ class FleetServer:
                                          "index in [0, %d)"
                                     % len(self._slots))
             targets = [self._slots[target]]
-        if self._draining:
+        if self.admission.draining:
             raise ProtocolError(503, "draining")
         start = time.monotonic()
         restarted = []
@@ -718,12 +593,10 @@ class FleetServer:
             for slot in targets:
                 await self._restart_slot(slot)
                 restarted.append(slot.describe())
-        return render_json(200, {
-            "schema": FLEET_SCHEMA, "request_id": rid,
-            "restarted": restarted,
-            "elapsed_s": round(time.monotonic() - start, 6),
-            "ring": self.ring.describe()},
-            keep_alive=keep_alive, headers=headers)
+        return {"schema": FLEET_SCHEMA, "request_id": rid,
+                "restarted": restarted,
+                "elapsed_s": round(time.monotonic() - start, 6),
+                "ring": self.ring.describe()}
 
     async def _restart_slot(self, slot: WorkerSlot) -> None:
         """Drain one worker while the ring reroutes its keys, then
@@ -774,55 +647,13 @@ def merge_metric_values(
     return dict(sorted(merged.items()))
 
 
-class FleetThread:
+class FleetThread(ServiceThread):
     """Run a :class:`FleetServer` on a background thread — the test and
     bench harness (``with FleetThread(config) as fleet:``)."""
 
-    def __init__(self, config: FleetConfig) -> None:
-        self.config = config
-        self.fleet: Optional[FleetServer] = None
-        self.port: Optional[int] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
+    service_class = FleetServer
+    ready_timeout_s = stop_timeout_s = 120.0
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        fleet = FleetServer(self.config)
-
-        def on_ready(bound: FleetServer) -> None:
-            self.fleet = bound
-            self.port = bound.port
-            self._ready.set()
-
-        await fleet.run(install_signals=False, ready=on_ready)
-
-    def __enter__(self) -> "FleetThread":
-        self._thread.start()
-        self._ready.wait(timeout=120)
-        if self._startup_error is not None:
-            raise RuntimeError("fleet failed to start") \
-                from self._startup_error
-        if self.port is None:
-            raise RuntimeError("fleet did not become ready")
-        return self
-
-    def stop(self) -> None:
-        if (self._loop is not None and self.fleet is not None
-                and not self._loop.is_closed()):
-            try:
-                self._loop.call_soon_threadsafe(self.fleet.request_drain)
-            except RuntimeError:
-                pass
-        self._thread.join(timeout=120)
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    @property
+    def fleet(self) -> Optional[FleetServer]:
+        return self.service

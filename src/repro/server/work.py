@@ -1,9 +1,9 @@
 """The CPU-bound request bodies, as picklable top-level functions.
 
 The event loop never runs a parser or a pass pipeline: every ``/v1/*``
-request is shipped to the server's worker pool (thread or process — the
-same backend vocabulary as ``passes.manager``) as one of these
-functions.  They follow the ``repro.batch`` worker contract:
+request is shipped to the server's worker pool (thread or process, from
+:mod:`repro.pool`) as one of these functions.  They follow the
+``repro.batch`` worker contract:
 
 * **never raise** — a raised exception inside ``pool.map`` /
   ``run_in_executor`` would surface as a 500 with a traceback instead of

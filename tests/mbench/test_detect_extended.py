@@ -65,10 +65,15 @@ class TestStructuralDetection:
             assert detected == model.decode_line_bytes, seed
 
     def test_lsd_budget_core2(self):
-        assert detect.DetectLsdLineBudget(Processor(core2())) == 4
+        proc = Processor(core2())
+        line = detect.DetectDecodeLineSize(proc)
+        threshold = detect.DetectLsdIterationThreshold(proc, line)
+        assert detect.DetectLsdLineBudgetByCounter(proc, line,
+                                                   threshold) == 4
 
     def test_forwarding_bandwidth_core2(self):
-        assert detect.DetectForwardingBandwidth(Processor(core2())) == 3
+        proc = Processor(core2())
+        assert detect.DetectForwardingBandwidthMatch(proc, proc.model) == 3
 
 
 class TestSequencesWithCandidateSets:

@@ -6,21 +6,29 @@ a hit for every other one sharing the store), aggregated ``/healthz`` /
 ``/metrics``, and rolling restarts that drop zero admitted requests.
 """
 
+import asyncio
+import gc
 import http.client
 import json
+import sys
 import threading
+import time
 import uuid
+import warnings
 
 import pytest
 
+from repro import obs
 from repro.server import (
     Client,
     FleetConfig,
+    FleetServer,
     FleetThread,
     ServerConfig,
     ServerThread,
 )
 from repro.server.fleet import merge_metric_values
+from repro.server.http import Request, parse_response
 
 SOURCE = """\
 .text
@@ -288,3 +296,91 @@ class TestMetricsMerge:
     def test_non_numeric_values_are_dropped(self):
         assert merge_metric_values([{"a": 1, "b": "x", "c": True}]) \
             == {"a": 1}
+
+
+def front_door_count(port, name):
+    _s, _h, event = raw_request(port, "GET", "/metrics")
+    return event["values"].get(name, 0)
+
+
+class TestFrontDoorShedding:
+    """The front door's own 503/504, not a worker's."""
+
+    def test_past_capacity_sheds_503_with_retry_after(self):
+        config = FleetConfig(port=0, workers=1, worker_inflight=1,
+                             max_queue=0, worker_test_delay_s=1.0,
+                             retry_after_s=0.5, cache=False)
+        body = {"source": SOURCE, "spec": "LOOP16"}
+        admitted = []
+        with FleetThread(config) as fleet:
+            before = front_door_count(fleet.port, "fleet.rejected")
+            blocker = threading.Thread(target=lambda: admitted.append(
+                raw_request(fleet.port, "POST", "/v1/optimize", body)))
+            blocker.start()
+            time.sleep(0.3)        # the blocker holds the only admission
+            status, headers, payload = raw_request(
+                fleet.port, "POST", "/v1/optimize", body)
+            blocker.join()
+            after = front_door_count(fleet.port, "fleet.rejected")
+        assert status == 503
+        assert headers["Retry-After"] == "0.5"
+        assert "X-Worker" not in headers
+        assert payload["error"] == "fleet at capacity (admitted >= 1)"
+        assert after - before == 1
+        assert [status for status, _h, _p in admitted] == [200]
+
+    def test_request_timeout_below_worker_delay_is_504(self, monkeypatch):
+        # The worker's own bound stays long, so the 504 is the front
+        # door's (argparse keeps the last --timeout).
+        argv = FleetServer._worker_argv
+        monkeypatch.setattr(FleetServer, "_worker_argv",
+                            lambda self: argv(self) + ["--timeout", "60"])
+        config = FleetConfig(port=0, workers=1, worker_test_delay_s=1.0,
+                             request_timeout_s=0.3, cache=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with FleetThread(config) as fleet:
+                before = front_door_count(fleet.port, "fleet.timeouts")
+                status, headers, payload = raw_request(
+                    fleet.port, "POST", "/v1/optimize",
+                    {"source": SOURCE, "spec": "LOOP16"})
+                after = front_door_count(fleet.port, "fleet.timeouts")
+            gc.collect()
+        assert status == 504
+        assert "X-Worker" not in headers
+        assert payload["error"] == "request exceeded 0.3s"
+        assert after - before == 1
+        # The abandoned upstream connection and the worker's stdout
+        # pipe are closed, not left to the garbage collector.
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+
+    def test_draining_front_door_sheds_503_draining(self):
+        registry = obs.Registry()
+        door = FleetServer(FleetConfig(port=0, workers=1,
+                                       retry_after_s=0.5),
+                           registry=registry)
+        door.request_drain()
+        raw = asyncio.run(door._dispatch(
+            Request(method="POST", path="/v1/optimize",
+                    version="HTTP/1.1", body=b"{}"), True))
+        status, headers, body = parse_response(raw)
+        assert status == 503
+        assert headers["retry-after"] == "0.5"
+        assert headers["x-request-id"].startswith("fleet-")
+        assert json.loads(body)["error"] == "draining"
+        assert registry.counter_value("fleet.rejected") == 1
+
+
+class TestWorkerStartTimeout:
+    def test_silent_worker_fails_start_at_the_deadline(self, monkeypatch):
+        """A worker that never prints its port is killed at
+        ``worker_start_timeout_s`` instead of hanging start()."""
+        monkeypatch.setattr(FleetServer, "_worker_argv", lambda self: [
+            sys.executable, "-c", "import time; time.sleep(20)"])
+        door = FleetServer(FleetConfig(port=0, workers=1,
+                                       worker_start_timeout_s=1))
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="failed to start"):
+            asyncio.run(door.start())
+        assert time.monotonic() - started < 10
